@@ -14,7 +14,7 @@
 #include <numeric>
 
 #include "congest/router.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "expander/decomposition.hpp"
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
@@ -75,11 +75,12 @@ void BM_PhiScheduleListing(benchmark::State& state) {
   // (which gates how aggressively the adaptive schedule may cluster).
   const auto inv_eps = int(state.range(0));
   const auto g = gen::planted_partition(8, 40, 0.4, 0.01, 9);
+  listing_session session(g);
   listing_report rep;
   for (auto _ : state) {
     listing_query opt;
     opt.epsilon = 1.0 / double(inv_eps);
-    list_triangles_congest(g, opt, &rep);
+    rep = session.run(opt).report;
   }
   state.counters["rounds"] = double(rep.ledger.rounds());
   state.counters["levels"] = double(rep.levels.size());

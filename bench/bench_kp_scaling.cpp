@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 
 namespace dcl {
@@ -19,17 +19,18 @@ void BM_KpListing(benchmark::State& state) {
   // Average degree ~ 3*sqrt(n): above the V− threshold 2*sqrt(n).
   const double avg = 3.0 * std::sqrt(double(n));
   const auto g = gen::gnp(n, std::min(0.9, avg / double(n)), 11);
-  listing_report rep;
-  clique_set got(p);
+  listing_session session(g);
+  query_result res{clique_set(p), 0, {}};
   for (auto _ : state) {
     listing_query opt;
     opt.p = p;
-    got = list_kp_congest(g, opt, &rep);
+    res = session.run(opt);
   }
+  const listing_report& rep = res.report;
   state.counters["rounds"] = double(rep.ledger.rounds());
   state.counters["messages"] = double(rep.ledger.messages());
   state.counters["decomp_model"] = double(rep.model_decomposition_rounds);
-  state.counters["cliques"] = double(got.size());
+  state.counters["cliques"] = double(res.cliques.size());
   state.counters["deferred"] = double(
       rep.levels.empty() ? 0 : rep.levels[0].deferred_clusters);
   bench::slope_store::instance().add("K" + std::to_string(p), double(n),

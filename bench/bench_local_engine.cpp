@@ -8,9 +8,11 @@
 // sanity, not timing).
 //
 // Defaults reproduce the canonical workload: triangles of G(2000, 0.1),
-// thread counts 1, 2, 4, ..., max_threads (default 8). Both count-mode
-// (pure enumeration) and list-mode (enumeration + buffer merge) are timed;
-// count-mode is the scaling headline, list-mode is what the oracle pays.
+// thread counts 1, 2, 4, ..., max_threads (default 8). Each timed call binds
+// a fresh local_kclist listing_session (DAG orientation, pool spin-up) and
+// runs one query, in count mode (pure enumeration) and collect mode
+// (enumeration + buffer merge); count-mode is the scaling headline,
+// collect-mode is what the oracle pays. p ranges over [3, 32].
 //
 // Self-contained on purpose: no google-benchmark dependency, so it builds
 // and runs even where only the core toolchain is present.
@@ -21,9 +23,8 @@
 #include <thread>
 
 #include "bench_json.hpp"
-
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
-#include "local/engine.hpp"
 
 namespace {
 
@@ -51,9 +52,17 @@ int main(int argc, char** argv) {
       pos.size() > 4 ? pos[4] : "BENCH_local_engine.json";
 
   const auto g = gen::gnp(n, prob, /*seed=*/7);
-  local::engine_options base;
-  base.p = p;
-  const std::int64_t cliques = local::count_cliques_local(g, base);
+  listing_query count_q;
+  count_q.p = p;
+  count_q.mode = sink_mode::count;
+  listing_query list_q = count_q;
+  list_q.mode = sink_mode::collect;
+  const auto run_fresh = [&](int threads, const listing_query& q) {
+    return listing_session(g, {.engine = listing_engine::local_kclist,
+                               .threads = threads})
+        .run(q);
+  };
+  const std::int64_t cliques = run_fresh(1, count_q).count;
 
   std::ostringstream js;
   js << "{\n"
@@ -80,16 +89,13 @@ int main(int argc, char** argv) {
 
   bool first = true;
   for (int threads = 1; threads <= max_threads; threads *= 2) {
-    local::engine_options opt = base;
-    opt.num_threads = threads;
-
     const double count_s = best_seconds([&] {
-      const std::int64_t c = local::count_cliques_local(g, opt);
+      const std::int64_t c = run_fresh(threads, count_q).count;
       if (c != cliques) std::abort();  // cross-config self-check
     });
     const double list_s = best_seconds([&] {
-      const auto set = local::list_cliques_local(g, opt);
-      if (set.size() != cliques) std::abort();
+      const auto res = run_fresh(threads, list_q);
+      if (res.cliques.size() != cliques) std::abort();
     });
 
     if (!first) js << ",\n";

@@ -3,7 +3,7 @@
 
 #include "bench_common.hpp"
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 
 namespace dcl {
@@ -18,11 +18,12 @@ void BM_RecursionDepth(benchmark::State& state) {
   // in a single level.
   const auto g = multi_scale ? gen::ring_of_cliques(vertex(n / 8), 8)
                              : gen::gnp(n, 10.0 / double(n), 23);
+  listing_session session(g);
   listing_report rep;
   for (auto _ : state) {
     listing_query opt;
     opt.epsilon = 1.0 / double(inv_eps);
-    list_triangles_congest(g, opt, &rep);
+    rep = session.run(opt).report;
   }
   double min_removed_frac = 1.0;
   for (const auto& ls : rep.levels) {

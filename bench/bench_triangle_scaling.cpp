@@ -7,7 +7,7 @@
 #include "bench_common.hpp"
 
 #include "baselines/naive.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 
 namespace dcl {
@@ -32,20 +32,21 @@ void BM_TriangleListing(benchmark::State& state) {
   const auto n = vertex(state.range(1));
   const auto engine = int(state.range(2));
   const auto g = make_graph(family, n);
-  listing_report rep;
-  clique_set got(3);
+  listing_session session(g);
+  query_result res{clique_set(3), 0, {}};
   for (auto _ : state) {
     listing_query opt;
     opt.lb = engine == 0   ? lb_engine::deterministic
                  : engine == 1 ? lb_engine::randomized
                                : lb_engine::unbalanced;
     opt.seed = 99;
-    got = list_triangles_congest(g, opt, &rep);
+    res = session.run(opt);
   }
+  const listing_report& rep = res.report;
   state.counters["rounds"] = double(rep.ledger.rounds());
   state.counters["messages"] = double(rep.ledger.messages());
   state.counters["decomp_model"] = double(rep.model_decomposition_rounds);
-  state.counters["triangles"] = double(got.size());
+  state.counters["triangles"] = double(res.cliques.size());
   state.counters["levels"] = double(rep.levels.size());
   state.counters["lb_load"] = rep.max_normalized_load;
   state.SetLabel(std::string(family_name(family)) + "/" +

@@ -6,7 +6,7 @@
 
 #include <iostream>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "expander/anatomy.hpp"
 #include "expander/decomposition.hpp"
 #include "graph/generators.hpp"
@@ -50,6 +50,11 @@ int main() {
       (same_community ? intra : inter) += 1;
     }
   });
+  if (intra + inter != res.count) {
+    std::cerr << "stream delivered " << intra + inter << " triangles, count "
+              << "says " << res.count << "\n";
+    return 1;
+  }
   std::cout << "\ntriangles: " << res.count << " (" << intra
             << " intra-community, " << inter << " bridging)"
             << "  rounds: " << res.report.ledger.rounds()

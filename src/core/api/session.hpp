@@ -63,8 +63,8 @@ struct query_lease {
   runtime::thread_pool inline_pool{1};
 };
 
-/// The graph-binding half of the old monolithic listing_options:
-/// everything that is fixed for the lifetime of a session.
+/// Everything that is fixed for the lifetime of a session; the per-run
+/// knobs live in listing_query.
 struct session_options {
   listing_engine engine = listing_engine::congest_sim;
   /// Worker-pool size (<= 0 → hardware concurrency): cluster-parallel

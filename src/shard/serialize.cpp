@@ -100,9 +100,8 @@ graph_slice decode_slice(wire_cursor& c) {
           "shard payload: slice remap must be ascending in [0, full_n)");
     prev = v;
   }
-  const std::int64_t m = c.get<std::int64_t>();
-  if (m < 0)
-    throw shard_error("shard payload: negative slice edge count");
+  const std::int64_t m =
+      c.get_count("slice edge count", 2 * sizeof(vertex));
   edge_list edges;
   edges.reserve(std::size_t(m));
   for (std::int64_t i = 0; i < m; ++i) {
@@ -156,9 +155,10 @@ void encode_scoped_ledgers(wire_buf& b,
 }
 
 std::vector<shard_scoped_ledger> decode_scoped_ledgers(wire_cursor& c) {
-  const std::int64_t n = c.get<std::int64_t>();
-  if (n < 0)
-    throw shard_error("shard payload: negative scoped-ledger count");
+  // Each entry is at least its level, branch, and an empty ledger (rounds,
+  // messages, phase count).
+  const std::int64_t n = c.get_count(
+      "scoped-ledger count", sizeof(std::int32_t) + 4 * sizeof(std::int64_t));
   std::vector<shard_scoped_ledger> v;
   v.reserve(std::size_t(n));
   for (std::int64_t i = 0; i < n; ++i) {

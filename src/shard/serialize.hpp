@@ -71,6 +71,18 @@ class wire_cursor {
     return v;
   }
 
+  /// Reads an element count and rejects it unless that many elements of
+  /// at least `min_element_bytes` each fit in the bytes still unread, so
+  /// a lying count can never size an allocation.
+  std::int64_t get_count(const char* what,
+                         std::size_t min_element_bytes = 1) {
+    const auto n = get<std::int64_t>();
+    const std::size_t left = bytes_.size() - pos_;
+    if (n < 0 || std::uint64_t(n) > left / min_element_bytes)
+      throw shard_error(std::string("shard payload: implausible ") + what);
+    return n;
+  }
+
   std::string get_string() {
     const std::int64_t n = get_count("string length");
     if (n == 0) return {};
@@ -84,7 +96,7 @@ class wire_cursor {
   template <typename T>
   std::vector<T> get_vector() {
     static_assert(std::is_trivially_copyable_v<T>);
-    const std::int64_t n = get_count("vector length");
+    const std::int64_t n = get_count("vector length", sizeof(T));
     if (n == 0) return {};
     need(std::size_t(n) * sizeof(T), "vector body");
     std::vector<T> v(static_cast<std::size_t>(n));
@@ -104,13 +116,6 @@ class wire_cursor {
   }
 
  private:
-  std::int64_t get_count(const char* what) {
-    const auto n = get<std::int64_t>();
-    if (n < 0 || std::size_t(n) > bytes_.size())
-      throw shard_error(std::string("shard payload: implausible ") + what);
-    return n;
-  }
-
   void need(std::size_t n, const char* what) const {
     if (bytes_.size() - pos_ < n)
       throw shard_error(std::string("shard payload: truncated reading ") +

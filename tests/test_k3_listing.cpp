@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/listing/driver.hpp"
+#include "core/api/session.hpp"
 #include "core/listing/two_hop.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
@@ -8,12 +8,16 @@
 namespace dcl {
 namespace {
 
-void expect_exact(const graph& g, const listing_query& opt,
-                  listing_report* rep = nullptr) {
-  const auto got = list_triangles_congest(g, opt, rep);
+query_result run_congest(const graph& g, const listing_query& q) {
+  return listing_session(g).run(q);
+}
+
+listing_report expect_exact(const graph& g, const listing_query& q) {
+  query_result got = run_congest(g, q);
   const auto want = collect_cliques(g, 3);
-  EXPECT_TRUE(got == want)
-      << "listed " << got.size() << " triangles, expected " << want.size();
+  EXPECT_TRUE(got.cliques == want) << "listed " << got.cliques.size()
+                                   << " triangles, expected " << want.size();
+  return std::move(got.report);
 }
 
 TEST(TwoHop, ListsAllCliquesThroughTargets) {
@@ -110,9 +114,8 @@ TEST(K3Listing, UnbalancedEngineExact) {
 }
 
 TEST(K3Listing, ReportIspopulated) {
-  listing_report rep;
   const auto g = gen::gnp(150, 0.08, 43);
-  expect_exact(g, {}, &rep);
+  const auto rep = expect_exact(g, {});
   EXPECT_GT(rep.ledger.rounds(), 0);
   EXPECT_GT(rep.model_decomposition_rounds, 0);
   EXPECT_FALSE(rep.levels.empty());
@@ -122,19 +125,19 @@ TEST(K3Listing, ReportIspopulated) {
 }
 
 TEST(K3Listing, LogarithmicLevels) {
-  listing_report rep;
   const auto g = gen::gnp(200, 0.06, 47);
-  list_triangles_congest(g, {}, &rep);
+  const auto rep = run_congest(g, {}).report;
   EXPECT_LE(int(rep.levels.size()), 30);
   EXPECT_FALSE(rep.used_fallback);
 }
 
 TEST(K3Listing, DeterministicTranscript) {
   const auto g = gen::gnp(110, 0.09, 53);
-  listing_report a, b;
-  const auto ra = list_triangles_congest(g, {}, &a);
-  const auto rb = list_triangles_congest(g, {}, &b);
-  EXPECT_TRUE(ra == rb);
+  const auto ra = run_congest(g, {});
+  const auto rb = run_congest(g, {});
+  EXPECT_TRUE(ra.cliques == rb.cliques);
+  const auto& a = ra.report;
+  const auto& b = rb.report;
   EXPECT_EQ(a.ledger.rounds(), b.ledger.rounds());
   EXPECT_EQ(a.ledger.messages(), b.ledger.messages());
   EXPECT_EQ(a.emitted, b.emitted);
@@ -144,11 +147,10 @@ TEST(K3Listing, EngineRoundsDifferOnSkewedInputs) {
   // The deterministic tree must track the randomized baseline far better
   // than the unbalanced id-range split on skewed degree distributions.
   const auto g = gen::power_law(200, 2.2, 14.0, 59);
-  listing_report det, unb;
   listing_query o_det, o_unb;
   o_unb.lb = lb_engine::unbalanced;
-  list_triangles_congest(g, o_det, &det);
-  list_triangles_congest(g, o_unb, &unb);
+  const auto det = run_congest(g, o_det).report;
+  const auto unb = run_congest(g, o_unb).report;
   // Not a strict theorem at this scale, but the unbalanced engine should
   // not beat the balanced one by more than noise.
   EXPECT_GE(unb.ledger.rounds() * 2, det.ledger.rounds());

@@ -1,19 +1,21 @@
 #include <gtest/gtest.h>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
 
 namespace dcl {
 namespace {
 
-void expect_exact_kp(const graph& g, int p, listing_query opt = {},
-                     listing_report* rep = nullptr) {
+listing_report expect_exact_kp(const graph& g, int p,
+                               listing_query opt = {}) {
   opt.p = p;
-  const auto got = list_kp_congest(g, opt, rep);
+  query_result got = listing_session(g).run(opt);
   const auto want = collect_cliques(g, p);
-  EXPECT_TRUE(got == want) << "p=" << p << ": listed " << got.size()
-                           << ", expected " << want.size();
+  EXPECT_TRUE(got.cliques == want) << "p=" << p << ": listed "
+                                   << got.cliques.size() << ", expected "
+                                   << want.size();
+  return std::move(got.report);
 }
 
 TEST(KpListing, K4ExactOnGnp) {
@@ -46,8 +48,7 @@ TEST(KpListing, K4DenseExercisesSplitTrees) {
   // Average degree well above the V− threshold 2*sqrt(n), so clusters have
   // nonempty V−_C with outside vertices — the full §6 pipeline (delivery,
   // Theorem 31, split trees, Lemma 37) runs.
-  listing_report rep;
-  expect_exact_kp(gen::gnp(120, 0.35, 97), 4, {}, &rep);
+  const auto rep = expect_exact_kp(gen::gnp(120, 0.35, 97), 4);
   expect_exact_kp(gen::planted_partition(2, 45, 0.6, 0.05, 101), 4);
 }
 
@@ -99,8 +100,7 @@ TEST(KpListing, UnbalancedEngineExact) {
 }
 
 TEST(KpListing, ReportPopulated) {
-  listing_report rep;
-  expect_exact_kp(gen::gnp(110, 0.1, 37), 4, {}, &rep);
+  const auto rep = expect_exact_kp(gen::gnp(110, 0.1, 37), 4);
   EXPECT_GT(rep.ledger.rounds(), 0);
   EXPECT_GT(rep.model_decomposition_rounds, 0);
   EXPECT_FALSE(rep.levels.empty());
@@ -108,28 +108,28 @@ TEST(KpListing, ReportPopulated) {
 
 TEST(KpListing, DeterministicTranscript) {
   const auto g = gen::gnp(80, 0.13, 41);
-  listing_report a, b;
   listing_query opt;
   opt.p = 4;
-  const auto ra = list_kp_congest(g, opt, &a);
-  const auto rb = list_kp_congest(g, opt, &b);
-  EXPECT_TRUE(ra == rb);
-  EXPECT_EQ(a.ledger.rounds(), b.ledger.rounds());
-  EXPECT_EQ(a.ledger.messages(), b.ledger.messages());
+  listing_session session(g);
+  const auto ra = session.run(opt);
+  const auto rb = session.run(opt);
+  EXPECT_TRUE(ra.cliques == rb.cliques);
+  EXPECT_EQ(ra.report.ledger.rounds(), rb.report.ledger.rounds());
+  EXPECT_EQ(ra.report.ledger.messages(), rb.report.ledger.messages());
 }
 
-TEST(ApiFacade, RoutesByP) {
+TEST(SessionApi, RoutesByP) {
   const auto g = gen::gnp(60, 0.2, 43);
+  listing_session session(g);
+  listing_query q;
   for (int p = 3; p <= 5; ++p) {
-    listing_options opt;
-    opt.p = p;
-    const auto res = list_cliques(g, opt);
+    q.p = p;
+    const auto res = session.run(q);
     EXPECT_TRUE(res.cliques == collect_cliques(g, p)) << "p=" << p;
     EXPECT_GT(res.report.ledger.rounds(), 0);
   }
-  listing_options bad;
-  bad.p = 9;
-  EXPECT_THROW(list_cliques(g, bad), precondition_error);
+  q.p = 9;
+  EXPECT_THROW(session.run(q), precondition_error);
 }
 
 }  // namespace

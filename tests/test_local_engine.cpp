@@ -1,22 +1,21 @@
-// Shared-memory kClist engine (src/local/): orientation invariants, and the
-// engine's output cross-checked against the sequential enumerator and the
-// CONGEST simulation on random, Kneser, and planted-clique inputs.
+// Shared-memory kClist engine (src/local/) behind listing_session:
+// orientation invariants, and the engine's output cross-checked against the
+// sequential enumerator and the CONGEST simulation on random, Kneser, and
+// planted-clique inputs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/clique_enum.hpp"
 #include "graph/generators.hpp"
-#include "local/engine.hpp"
+#include "local/parallel.hpp"
 
 namespace dcl {
 namespace {
 
-using local::engine_options;
-using local::engine_report;
-using local::orientation_policy;
+using enumkernel::orientation_policy;
 
 // ---------------------------------------------------------------------------
 // Orientation.
@@ -25,7 +24,7 @@ TEST(Orient, KeepsEveryEdgeExactlyOnceRankForward) {
   const auto g = gen::gnp(120, 0.1, 3);
   for (const auto policy :
        {orientation_policy::degeneracy, orientation_policy::degree}) {
-    const auto d = local::orient(g, policy);
+    const auto d = enumkernel::orient(g, policy);
     EXPECT_EQ(d.num_arcs(), g.num_edges());
     std::int64_t arcs = 0;
     for (vertex v = 0; v < g.num_vertices(); ++v) {
@@ -43,19 +42,31 @@ TEST(Orient, KeepsEveryEdgeExactlyOnceRankForward) {
 
 TEST(Orient, DegeneracyBoundsOutDegree) {
   // K_n has degeneracy n-1; ring-of-cliques of K6 blocks has degeneracy 5.
-  EXPECT_EQ(local::orient(gen::complete(9), orientation_policy::degeneracy)
+  EXPECT_EQ(enumkernel::orient(gen::complete(9), orientation_policy::degeneracy)
                 .max_out_degree,
             8);
-  EXPECT_EQ(local::orient(gen::ring_of_cliques(4, 6),
-                          orientation_policy::degeneracy)
+  EXPECT_EQ(enumkernel::orient(gen::ring_of_cliques(4, 6),
+                               orientation_policy::degeneracy)
                 .max_out_degree,
             5);
+}
+
+TEST(Orient, SessionBindsTheSameDag) {
+  // The local session orients once at bind time; its DAG carries the same
+  // degeneracy bound and one arc per edge.
+  const auto g = gen::ring_of_cliques(4, 6);
+  listing_session s(g, {.engine = listing_engine::local_kclist});
+  EXPECT_EQ(s.bound_dag().max_out_degree, 5);
+  EXPECT_EQ(s.bound_dag().num_arcs(), g.num_edges());
+  // Under congest_sim no DAG is built.
+  listing_session c(g);
+  EXPECT_EQ(c.bound_dag().num_arcs(), 0);
 }
 
 TEST(Orient, CoreNumbers) {
   // Triangle with a pendant: triangle vertices have core 2, pendant core 1.
   const graph g(4, {{0, 1}, {0, 2}, {1, 2}, {2, 3}});
-  const auto core = local::core_numbers(g);
+  const auto core = enumkernel::core_numbers(g);
   EXPECT_EQ(core[0], 2);
   EXPECT_EQ(core[1], 2);
   EXPECT_EQ(core[2], 2);
@@ -65,83 +76,79 @@ TEST(Orient, CoreNumbers) {
 // ---------------------------------------------------------------------------
 // Engine vs sequential ground truth.
 
+query_result run_local(const graph& g, int p, sink_mode mode,
+                       const session_options& base = {}) {
+  session_options sopt = base;
+  sopt.engine = listing_engine::local_kclist;
+  listing_session s(g, sopt);
+  listing_query q;
+  q.p = p;
+  q.mode = mode;
+  return s.run(q);
+}
+
 void expect_matches_sequential(const graph& g, int p,
-                               const engine_options& base) {
+                               const session_options& base = {}) {
   const auto want = collect_cliques(g, p);
-  engine_options opt = base;
-  opt.p = p;
-  engine_report rep;
-  const auto got = local::list_cliques_local(g, opt, &rep);
-  EXPECT_TRUE(got == want) << "p=" << p << ": got " << got.size()
-                           << " expected " << want.size();
-  EXPECT_EQ(rep.emitted, want.size());
-  EXPECT_EQ(local::count_cliques_local(g, opt), want.size());
+  const auto got = run_local(g, p, sink_mode::collect, base);
+  EXPECT_TRUE(got.cliques == want) << "p=" << p << ": got "
+                                   << got.cliques.size() << " expected "
+                                   << want.size();
+  EXPECT_EQ(got.report.emitted, want.size());
+  EXPECT_EQ(got.report.duplicates, 0);
+  EXPECT_EQ(run_local(g, p, sink_mode::count, base).count, want.size());
 }
 
 TEST(LocalEngine, MatchesSequentialOnGnp) {
   const auto g = gen::gnp(80, 0.15, 17);
-  for (int p = 3; p <= 6; ++p)
-    expect_matches_sequential(g, p, engine_options{});
+  for (int p = 3; p <= 6; ++p) expect_matches_sequential(g, p);
 }
 
 TEST(LocalEngine, MatchesSequentialOnDenseGnp) {
   const auto g = gen::gnp(60, 0.35, 29);
-  for (int p = 3; p <= 6; ++p)
-    expect_matches_sequential(g, p, engine_options{});
+  for (int p = 3; p <= 6; ++p) expect_matches_sequential(g, p);
 }
 
 TEST(LocalEngine, MatchesSequentialOnKneser) {
   // K(9, 3): 84 vertices; triangles exist (three disjoint 3-sets), K4 needs
   // 12 > 9 ground elements so there are exactly zero — a sharp cutoff.
   const auto g = gen::kneser(9, 3);
-  for (int p = 3; p <= 5; ++p)
-    expect_matches_sequential(g, p, engine_options{});
+  for (int p = 3; p <= 5; ++p) expect_matches_sequential(g, p);
   EXPECT_GT(count_cliques(g, 3), 0);
-  EXPECT_EQ(local::count_cliques_local(g, {.p = 4}), 0);
+  EXPECT_EQ(run_local(g, 4, sink_mode::count).count, 0);
 }
 
 TEST(LocalEngine, PetersenIsTriangleFree) {
-  EXPECT_EQ(local::count_cliques_local(gen::kneser(5, 2), {.p = 3}), 0);
+  EXPECT_EQ(run_local(gen::kneser(5, 2), 3, sink_mode::count).count, 0);
 }
 
 TEST(LocalEngine, MatchesSequentialOnPlantedCliques) {
   const auto g = gen::planted_cliques(120, 0.03, 3, 9, 41);
-  for (int p = 3; p <= 6; ++p)
-    expect_matches_sequential(g, p, engine_options{});
+  for (int p = 3; p <= 6; ++p) expect_matches_sequential(g, p);
 }
 
 TEST(LocalEngine, DegreeOrientationGivesSameResult) {
   const auto g = gen::power_law(150, 2.3, 10.0, 53);
-  for (int p = 3; p <= 5; ++p) {
-    engine_options opt{.p = p};
-    opt.orientation = orientation_policy::degree;
-    const auto got = local::list_cliques_local(g, opt);
-    EXPECT_TRUE(got == collect_cliques(g, p)) << "p=" << p;
-  }
+  session_options sopt;
+  sopt.orientation = orientation_policy::degree;
+  for (int p = 3; p <= 5; ++p) expect_matches_sequential(g, p, sopt);
 }
 
 TEST(LocalEngine, ArbitraryArityBeyondCongestRange) {
   // p = 8 exceeds the CONGEST drivers' 3..6 but the local engine lists it.
   const auto g = gen::planted_cliques(60, 0.02, 1, 10, 7);
-  engine_options opt{.p = 8};
-  const auto got = local::list_cliques_local(g, opt);
-  EXPECT_TRUE(got == collect_cliques(g, 8));
-  EXPECT_GT(got.size(), 0);
-}
-
-TEST(LocalEngine, PairsAreEdges) {
-  const auto g = gen::gnp(50, 0.2, 11);
-  const auto got = local::list_cliques_local(g, {.p = 2});
-  EXPECT_EQ(got.size(), g.num_edges());
+  const auto got = run_local(g, 8, sink_mode::collect);
+  EXPECT_TRUE(got.cliques == collect_cliques(g, 8));
+  EXPECT_GT(got.cliques.size(), 0);
 }
 
 TEST(LocalEngine, EmptyAndCliqueFreeGraphs) {
-  EXPECT_EQ(local::list_cliques_local(graph(0, {}), {.p = 3}).size(), 0);
-  EXPECT_EQ(local::list_cliques_local(graph(12, {}), {.p = 4}).size(), 0);
-  EXPECT_EQ(
-      local::list_cliques_local(gen::complete_bipartite(6, 7), {.p = 3})
-          .size(),
-      0);
+  EXPECT_EQ(run_local(graph(0, {}), 3, sink_mode::collect).cliques.size(), 0);
+  EXPECT_EQ(run_local(graph(12, {}), 4, sink_mode::collect).cliques.size(),
+            0);
+  EXPECT_EQ(run_local(gen::complete_bipartite(6, 7), 3, sink_mode::collect)
+                .cliques.size(),
+            0);
 }
 
 // ---------------------------------------------------------------------------
@@ -151,36 +158,57 @@ TEST(LocalEngine, EmptyAndCliqueFreeGraphs) {
 TEST(LocalEngine, ThreadCountInvariance) {
   const auto g = gen::gnp(140, 0.1, 23);
   for (int p = 3; p <= 5; ++p) {
-    const auto want = collect_cliques(g, p);
     for (int threads : {1, 2, 3, 4, 8}) {
-      engine_options opt{.p = p};
-      opt.num_threads = threads;
-      opt.grain = 16;
-      engine_report rep;
-      const auto got = local::list_cliques_local(g, opt, &rep);
-      EXPECT_TRUE(got == want) << "p=" << p << " threads=" << threads;
-      EXPECT_EQ(rep.threads, threads);
-      std::int64_t roots = 0;
-      for (const auto r : rep.parallel.per_thread_roots) roots += r;
-      EXPECT_EQ(roots, rep.dag_arcs);
+      session_options sopt;
+      sopt.threads = threads;
+      sopt.grain = 16;
+      expect_matches_sequential(g, p, sopt);
+    }
+  }
+}
+
+TEST(LocalEngine, PerThreadRootsCoverEveryArc) {
+  // The parallel driver's accounting: every DAG arc roots exactly one
+  // egonet, and the per-thread clique counts sum to the result, for both
+  // the listing path and its counting twin.
+  const auto g = gen::gnp(140, 0.1, 23);
+  const auto d = enumkernel::orient(g, orientation_policy::degeneracy);
+  for (int threads : {1, 3, 8}) {
+    runtime::thread_pool pool(threads);
+    runtime::query_scratch scratch;
+    for (int p = 3; p <= 5; ++p) {
+      local::parallel_listing_stats ls, cs;
+      const auto got =
+          local::list_cliques_parallel(d, p, pool, scratch, 16, &ls);
+      const auto cnt =
+          local::count_cliques_parallel(d, p, pool, scratch, 16, &cs);
+      EXPECT_EQ(cnt, got.size());
+      for (const auto* st : {&ls, &cs}) {
+        EXPECT_EQ(st->threads, threads);
+        EXPECT_EQ(st->roots, d.num_arcs());
+        std::int64_t roots = 0, cliques = 0;
+        for (const auto r : st->per_thread_roots) roots += r;
+        for (const auto c : st->per_thread_cliques) cliques += c;
+        EXPECT_EQ(roots, d.num_arcs()) << "p=" << p << " t=" << threads;
+        EXPECT_EQ(cliques, got.size()) << "p=" << p << " t=" << threads;
+      }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Backend integration: dcl::list_cliques with engine = local_kclist must be
-// byte-identical to the CONGEST simulation.
+// Backend integration: a local_kclist session must be byte-identical to the
+// CONGEST simulation.
 
 void expect_backends_agree(const graph& g, int p) {
-  listing_options congest;
-  congest.p = p;
-  const auto sim = list_cliques(g, congest);
+  listing_query q;
+  q.p = p;
+  listing_session congest(g);
+  const auto sim = congest.run(q);
 
-  listing_options loc;
-  loc.p = p;
-  loc.engine = listing_engine::local_kclist;
-  loc.local_threads = 3;
-  const auto fast = list_cliques(g, loc);
+  listing_session local(g, {.engine = listing_engine::local_kclist,
+                            .threads = 3});
+  const auto fast = local.run(q);
 
   EXPECT_TRUE(sim.cliques == fast.cliques)
       << "p=" << p << ": congest " << sim.cliques.size() << " vs local "

@@ -1,9 +1,10 @@
 // The session API's contracts (DESIGN.md §9): every output mode agrees
-// with every other and with the legacy list_cliques wrapper — cliques AND
-// the full listing_report — for both engines, p = 3..6, worker pools of 1
-// and 4; session reuse is bit-identical to a fresh bind; streams arrive in
-// the deterministic merge order regardless of batch size; and malformed
-// queries are rejected with precondition_error at the session boundary.
+// with every other, with the sequential oracle, and with a single-worker
+// session — cliques AND the full listing_report — for both engines,
+// p = 3..6, worker pools of 1 and 4; session reuse is bit-identical to a
+// fresh bind; streams arrive in the deterministic merge order regardless
+// of batch size; and malformed queries are rejected with
+// precondition_error at the session boundary.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "enumkernel/limits.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
@@ -64,9 +65,10 @@ clique_set restream(listing_session& s, listing_query q) {
   return got;  // already canonical: streams arrive in merge order
 }
 
-TEST(ListingSession, AllModesAgreeWithWrapperBothEngines) {
+TEST(ListingSession, AllModesAgreeBothEngines) {
   // The differential sweep: collect / count / stream / cliques_in_edges
-  // against each other and the legacy one-shot wrapper.
+  // against each other, the sequential oracle, and the report of a fresh
+  // single-worker session.
   struct case_t {
     graph g;
     int p;
@@ -81,16 +83,13 @@ TEST(ListingSession, AllModesAgreeWithWrapperBothEngines) {
     for (const auto engine :
          {listing_engine::congest_sim, listing_engine::local_kclist}) {
       for (const int threads : {1, 4}) {
-        listing_options legacy;
-        legacy.p = c.p;
-        legacy.engine = engine;
-        legacy.sim_threads = threads;
-        legacy.local_threads = threads;
-        const auto want = list_cliques(c.g, legacy);
-
-        listing_session session(c.g, {.engine = engine, .threads = threads});
         listing_query q;
         q.p = c.p;
+        const auto want = listing_session(c.g, {.engine = engine}).run(q);
+        EXPECT_TRUE(want.cliques == collect_cliques(c.g, c.p))
+            << "p=" << c.p;
+
+        listing_session session(c.g, {.engine = engine, .threads = threads});
 
         const auto collected = session.run(q);
         EXPECT_TRUE(collected.cliques == want.cliques)
@@ -583,13 +582,6 @@ TEST(ListingSession, ReportsAreFreshPerRun) {
   const auto a = s.run(q);
   const auto b = s.run(q);
   expect_report_identical(a.report, b.report);
-  // And the convenience driver overload documents overwrite semantics:
-  listing_report dirty;
-  dirty.emitted = 777;
-  dirty.levels.resize(9);
-  const auto direct = list_triangles_congest(g, q, &dirty);
-  EXPECT_TRUE(direct == a.cliques);
-  expect_report_identical(dirty, a.report);
 }
 
 }  // namespace

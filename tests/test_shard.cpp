@@ -246,6 +246,18 @@ TEST(ShardCodec, SliceRoundTripAndEndpointValidation) {
   shard::encode_slice(bb, bad);
   wire_cursor cb(bb.view());
   EXPECT_THROW(shard::decode_slice(cb), shard_error);
+
+  // A lying edge count must be refused before it sizes an allocation: the
+  // payload holds far fewer than 2^61 edges.
+  wire_buf lie;
+  lie.put(std::int32_t(4));  // full_n
+  lie.put(std::int32_t(2));  // local_n
+  lie.put_vector(std::vector<vertex>{0, 3});
+  lie.put(std::int64_t(1) << 61);
+  lie.put(vertex(0));
+  lie.put(vertex(1));
+  wire_cursor cl(lie.view());
+  EXPECT_THROW(shard::decode_slice(cl), shard_error);
 }
 
 TEST(ShardCodec, ResultRoundTripAndConsistencyChecks) {
@@ -287,6 +299,18 @@ TEST(ShardCodec, ResultRoundTripAndConsistencyChecks) {
   shard::encode_result(bb, bad);
   wire_cursor cb(bb.view());
   EXPECT_THROW(shard::decode_result(cb), shard_error);
+
+  // A lying scoped-ledger count must be refused before it sizes an
+  // allocation: the payload holds far fewer than 2^61 entries.
+  wire_buf lie;
+  lie.put(std::uint64_t(7));  // qid
+  lie.put(std::int32_t(3));   // p
+  lie.put_vector(std::vector<vertex>{});
+  lie.put(std::int64_t(0));  // emitted
+  lie.put(std::int64_t(1) << 61);
+  for (int i = 0; i < 8; ++i) lie.put(std::int64_t(0));
+  wire_cursor cl(lie.view());
+  EXPECT_THROW(shard::decode_result(cl), shard_error);
 }
 
 TEST(ShardCodec, TraceBlobRoundTripsBitIdentically) {
