@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       pos.push_back(argv[i]);
   }
   const std::string out_path =
-      pos.size() > 0 ? pos[0] : "BENCH_api_session.json";
+      pos.size() > 0 ? pos[0] : bench::default_json_path("api_session", smoke);
 
   // congest_sim families exercise the full simulated pipeline; the
   // local_kclist rows isolate the bind-time work the session caches (DAG

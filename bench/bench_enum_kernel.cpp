@@ -197,13 +197,15 @@ std::optional<dcl::snap_graph> load_corpus_graph(const std::string& name) {
 int main(int argc, char** argv) {
   using namespace dcl;
   bool smoke = false;
-  std::string out_path = "BENCH_enum_kernel.json";
+  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--smoke")
       smoke = true;
     else
       out_path = argv[i];
   }
+  if (out_path.empty())
+    out_path = bench::default_json_path("enum_kernel", smoke);
 
   // Nine interleaved rounds in full mode: min-of-9 with round-robin order
   // converges each variant to its floor, which keeps the auto_vs_best

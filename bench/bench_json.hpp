@@ -90,6 +90,13 @@ inline std::string meta_json() {
   return os.str();
 }
 
+/// Default output file of a bench: BENCH_<name>.json, or
+/// BENCH_<name>.smoke.json under --smoke, so a smoke pass never overwrites
+/// the checked-in full-mode numbers.
+inline std::string default_json_path(const std::string& name, bool smoke) {
+  return "BENCH_" + name + (smoke ? ".smoke.json" : ".json");
+}
+
 /// Returns the process exit code: 0 on success, 1 if the file could not be
 /// written (with a diagnostic on stderr).
 inline int emit_json(const std::string& path, const std::string& body) {

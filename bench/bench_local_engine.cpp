@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const int max_threads = pos.size() > 3 ? std::atoi(pos[3])
                                          : (smoke ? 2 : 8);
   const std::string out_path =
-      pos.size() > 4 ? pos[4] : "BENCH_local_engine.json";
+      pos.size() > 4 ? pos[4] : bench::default_json_path("local_engine", smoke);
 
   const auto g = gen::gnp(n, prob, /*seed=*/7);
   listing_query count_q;

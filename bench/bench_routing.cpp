@@ -164,7 +164,7 @@ struct family_fit {
 int main(int argc, char** argv) {
   using namespace dcl;
   bool smoke = false;
-  std::string out_path = "BENCH_routing.json";
+  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke")
@@ -172,6 +172,7 @@ int main(int argc, char** argv) {
     else
       out_path = arg;
   }
+  if (out_path.empty()) out_path = bench::default_json_path("routing", smoke);
   const std::vector<std::int64_t> loads =
       smoke ? std::vector<std::int64_t>{1, 4}
             : std::vector<std::int64_t>{1, 2, 4, 8, 16, 32, 64};

@@ -241,7 +241,8 @@ int main(int argc, char** argv) {
     else
       pos.push_back(argv[i]);
   }
-  const std::string out_path = pos.size() > 0 ? pos[0] : "BENCH_serving.json";
+  const std::string out_path =
+      pos.size() > 0 ? pos[0] : bench::default_json_path("serving", smoke);
 
   struct engine_case {
     const char* name;

@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
     else
       pos.push_back(argv[i]);
   }
-  const std::string out_path = pos.empty() ? "BENCH_shard.json" : pos[0];
+  const std::string out_path =
+      pos.empty() ? bench::default_json_path("shard", smoke) : pos[0];
 
   const vertex n = smoke ? 120 : 600;
   const double prob = smoke ? 0.15 : 0.05;

@@ -94,7 +94,7 @@ void validate_query(const listing_query& q, listing_engine engine) {
 }
 
 listing_session::listing_session(const graph& g, const session_options& opt)
-    : g_(&g), opt_(opt), pool_(opt.threads) {
+    : g_(&g), opt_(opt), pool_(opt.threads), cp_(g) {
   if (opt_.grain < 1)
     throw precondition_error("session_options: grain = " +
                              std::to_string(opt_.grain) +
@@ -195,8 +195,8 @@ query_result listing_session::run_congest(const listing_query& q,
   eq.simd = effective_simd(q);
   clique_collector out(q.p);
   listing_report rep =
-      q.p == 3 ? list_triangles_congest(*g_, eq, pool, lease.scratch, out)
-               : list_kp_congest(*g_, eq, pool, lease.scratch, out);
+      q.p == 3 ? list_triangles_congest(cp_, eq, pool, lease.scratch, out)
+               : list_kp_congest(cp_, eq, pool, lease.scratch, out);
   query_result res{clique_set(q.p), 0, {}};
   if (q.mode == sink_mode::collect) {
     res.cliques = out.finalize();
@@ -238,9 +238,9 @@ shard_run_result listing_session::run_shard(const listing_query& q,
   clique_collector out(q.p);
   res.report =
       q.p == 3
-          ? list_triangles_congest(*g_, eq, pool, lease->scratch, out,
+          ? list_triangles_congest(cp_, eq, pool, lease->scratch, out,
                                    &scoped_plan)
-          : list_kp_congest(*g_, eq, pool, lease->scratch, out,
+          : list_kp_congest(cp_, eq, pool, lease->scratch, out,
                             &scoped_plan);
   const std::span<const vertex> raw = out.raw_view();
   res.raw_tuples.assign(raw.begin(), raw.end());

@@ -17,19 +17,27 @@
 // degeneracy/DAG orientation (local_kclist), the runtime worker pool, and
 // a warmed scratch lease with its parked kernel scratch / transport — so
 // repeated run() calls reuse warm capacity instead of rebuilding the
-// world per query. The session aliases the graph; the graph must outlive
-// it.
+// world per query. Setup that depends on a few query fields is done once
+// per distinct value of them: under congest_sim the first run of a
+// control-plane key (p, epsilon, max_levels, base_case_edges, and for
+// p >= 4 beta and gamma) records each recursion level's decomposition,
+// anatomy, retired edges and residual graph, and later runs and
+// run_shard calls with that key replay them (DESIGN.md §9). The session
+// aliases the graph; the graph must outlive it.
 //
 // Concurrency (DESIGN.md §12): run() and cliques_in_edges() are safe to
 // call from any number of threads at once. Everything a query mutates
 // lives in a query_lease checked out from the session's lease pool for
 // the duration of that run; the bound graph, its arc index, and the DAG
-// are strictly read-only shared state. The wide worker pool serves one
-// query at a time (first caller wins a try-lock); every other in-flight
-// query runs inline on its lease's single-slot pool. Because all outputs
-// are bit-identical across thread counts (DESIGN.md §6), which pool a
-// query lands on is unobservable in its result — a solo caller keeps full
-// intra-query parallelism, N callers get inter-query parallelism.
+// are strictly read-only shared state. The one shared structure that
+// grows after binding is the control-plane cache: one mutex around
+// lookup and insert, entries immutable once published. The wide worker
+// pool serves one query at a time (first caller wins a try-lock); every
+// other in-flight query runs inline on its lease's single-slot pool.
+// Because all outputs are bit-identical across thread counts (DESIGN.md
+// §6), which pool a query lands on is unobservable in its result — a solo
+// caller keeps full intra-query parallelism, N callers get inter-query
+// parallelism.
 //
 // Determinism: for a fixed bound graph and query, every output mode is a
 // pure function of (graph, query) — independent of session history, thread
@@ -43,6 +51,7 @@
 #include <span>
 #include <vector>
 
+#include "core/listing/control_plane.hpp"
 #include "core/listing/driver.hpp"
 #include "enumkernel/orient.hpp"
 #include "runtime/scratch.hpp"
@@ -158,7 +167,8 @@ class listing_session {
   query_result run(const listing_query& q, const stream_sink& sink);
 
   /// One shard's share of a distributed congest_sim run (DESIGN.md §14):
-  /// executes the full deterministic control plane but lists only the
+  /// executes the full deterministic control plane (replayed from the
+  /// session's control-plane cache like run()'s) but lists only the
   /// branches `plan` owns, returning raw tuples and scoped ledgers for the
   /// coordinator's fold. q.mode is ignored — the coordinator applies the
   /// sink mode after folding. congest_sim sessions only; the local engine
@@ -205,6 +215,10 @@ class listing_session {
   /// re-checkout path allocates no scratch at all.
   runtime::lease_pool_stats lease_stats() const { return leases_.stats(); }
 
+  /// congest_sim: number of control-plane keys whose level chains the
+  /// session currently holds (at most control_plane_cache::kCapacity).
+  std::size_t control_plane_keys() const { return cp_.keys(); }
+
  private:
   /// Per-run traversal: a query's explicit (non-auto) kernel wins; an
   /// auto_select query defers to the session-wide knob.
@@ -242,6 +256,10 @@ class listing_session {
   /// written only under the pool's or the lease pool's own locking.
   mutable runtime::lease_pool<query_lease> leases_;
   std::mutex pool_gate_;  ///< wide-pool ownership: one query at a time
+  /// congest_sim: each level's decomposition, anatomy, retired edges and
+  /// residual graph, recorded by the first run of a control-plane key and
+  /// replayed by every later run and run_shard (DESIGN.md §9).
+  control_plane_cache cp_;
 };
 
 }  // namespace dcl

@@ -30,6 +30,8 @@ class thread_pool;
 class query_scratch;
 }
 
+class control_plane_cache;
+
 /// Execution backend behind dcl::listing_session:
 ///   congest_sim  — the paper's simulated CONGEST algorithms (default);
 ///   local_kclist — the shared-memory kClist engine (src/local/), exact and
@@ -113,14 +115,16 @@ struct shard_scoped_ledger {
 };
 
 /// Work-ownership filter for multi-process sharded congest runs. Every
-/// worker replicates the deterministic control plane — decomposition,
-/// anatomy, E′ delivery and the overload test, residual-edge retirement —
-/// which is a pure function of the level graph, independent of listing
-/// output; only branches this plan owns are actually listed (and charged
-/// into exportable ledgers). `owner` must be a pure function of its
-/// arguments, identical across every worker of the run; the representative
-/// handed to it is the smallest vertex of the branch's cluster (or target
-/// set). A null owner or shards <= 1 owns everything (the solo path).
+/// worker runs the deterministic control plane — decomposition, anatomy,
+/// E′ delivery and the overload test, residual-edge retirement — which is
+/// a pure function of the level graph, independent of listing output (the
+/// decomposition and anatomy replayed from the worker session's
+/// control_plane_cache after its first query); only branches this plan
+/// owns are actually listed (and charged into exportable ledgers).
+/// `owner` must be a pure function of its arguments, identical across
+/// every worker of the run; the representative handed to it is the
+/// smallest vertex of the branch's cluster (or target set). A null owner
+/// or shards <= 1 owns everything (the solo path).
 struct congest_shard_plan {
   int shard = 0;
   int shards = 1;
@@ -159,24 +163,30 @@ struct listing_report {
   trace_summary trace_stats;
 };
 
-/// Theorem 32. Appends every triangle of g into `out` (arity 3, must be
-/// unfinalized) and returns this run's fresh report — the driver never
-/// touches caller-held report state. The caller finalizes `out` to fit its
-/// sink mode and owns the emitted/duplicates bookkeeping afterwards.
-/// `pool` supplies the cluster-parallel workers; `scratch` supplies every
-/// piece of mutable per-run workspace (per-worker-slot transports and
-/// kernel scratch) — the driver touches no state shared beyond its
-/// arguments, so any number of runs may share one read-only graph, and a
-/// listing_session serves concurrent run() calls by handing each one a
-/// private leased scratch (DESIGN.md §12). Output equals the sequential
-/// ground truth exactly (tested property).
+/// Theorem 32. Appends every triangle of cp.bound_graph() into `out`
+/// (arity 3, must be unfinalized) and returns this run's fresh report — the
+/// driver never touches caller-held report state. The caller finalizes
+/// `out` to fit its sink mode and owns the emitted/duplicates bookkeeping
+/// afterwards. `cp` supplies each level's control plane — decomposition,
+/// anatomy, retired edges, residual graph — recorded by the first run of
+/// the query's control_plane_key and replayed by every later one
+/// (DESIGN.md §9); a replayed level still computes its retired edges and
+/// checks them against the record. `pool` supplies the cluster-parallel
+/// workers; `scratch` supplies every piece of mutable per-run workspace
+/// (per-worker-slot transports and kernel scratch) — beyond `scratch`, the
+/// driver mutates only the mutex-guarded cache, so any number of runs may
+/// share one read-only graph, and a listing_session serves concurrent
+/// run() calls by handing each one a private leased scratch (DESIGN.md
+/// §12). Output equals the sequential ground truth exactly (tested
+/// property).
 ///
 /// `plan`, when given, restricts listing to the branches the plan owns
 /// (sharded execution, DESIGN.md §14): control-plane structure — levels,
 /// stats, residual retirement, model rounds, used_fallback — is computed
 /// identically on every shard, while cliques, ledger charges, and trace
 /// scopes come only from owned branches.
-listing_report list_triangles_congest(const graph& g, const listing_query& q,
+listing_report list_triangles_congest(control_plane_cache& cp,
+                                      const listing_query& q,
                                       runtime::thread_pool& pool,
                                       runtime::query_scratch& scratch,
                                       clique_collector& out,
@@ -185,7 +195,8 @@ listing_report list_triangles_congest(const graph& g, const listing_query& q,
 
 /// Theorem 36 (unified driver for p >= 4; see DESIGN.md §2.4 on K4).
 /// Contract as list_triangles_congest.
-listing_report list_kp_congest(const graph& g, const listing_query& q,
+listing_report list_kp_congest(control_plane_cache& cp,
+                               const listing_query& q,
                                runtime::thread_pool& pool,
                                runtime::query_scratch& scratch,
                                clique_collector& out,

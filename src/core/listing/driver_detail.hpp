@@ -3,10 +3,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <vector>
 
 #include "congest/cost.hpp"
 #include "congest/trace.hpp"
 #include "core/listing/collector.hpp"
+#include "core/listing/control_plane.hpp"
 #include "core/listing/k3_cluster.hpp"
 #include "graph/graph.hpp"
 
@@ -62,5 +65,47 @@ inline double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
+
+/// One level's control plane as a run holds it: the recorded entry when
+/// the session's cache already has it (a replay), else the entry this run
+/// is recording.
+struct level_plane {
+  std::shared_ptr<const level_skeleton> cached;
+  std::shared_ptr<level_skeleton> fresh;
+
+  const std::vector<cluster_anatomy>& anatomy() const {
+    return cached != nullptr ? cached->anatomy : fresh->anatomy;
+  }
+};
+
+/// Looks up level `level` of the key's chain; on a miss, `build` fills a
+/// fresh skeleton's anatomy (decompose + build_anatomy on the level graph,
+/// timing both phases itself). On a hit the lookup is all that is left of
+/// those two phases, and it is what phase_seconds records for them.
+template <typename Build>
+level_plane open_level(control_plane_cache& cp, const control_plane_key& key,
+                       int level, listing_report& rep, Build&& build) {
+  const auto t0 = std::chrono::steady_clock::now();
+  level_plane plane{cp.find(key, level), nullptr};
+  if (plane.cached != nullptr) {
+    rep.phase_seconds["decompose"] += seconds_since(t0);
+    rep.phase_seconds["anatomy"] += 0.0;
+    return plane;
+  }
+  plane.fresh = std::make_shared<level_skeleton>();
+  build(*plane.fresh);
+  return plane;
+}
+
+/// Closes a level once the data plane has computed the edges it retires
+/// (sorted, deduplicated). A replay checks them against the recorded set
+/// and fails with invariant_error on any difference; a recording run
+/// derives the residual graph and publishes the skeleton (the first
+/// insert wins; a losing run is checked against the winner the same way).
+/// Returns the entry the run continues from: its `residual` is the next
+/// level graph.
+std::shared_ptr<const level_skeleton> settle_level(
+    control_plane_cache& cp, const control_plane_key& key, int level,
+    const graph& cur, level_plane plane, edge_list removed);
 
 }  // namespace dcl::detail

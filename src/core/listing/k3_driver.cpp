@@ -1,7 +1,10 @@
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
+#include <utility>
 
+#include "core/listing/control_plane.hpp"
 #include "core/listing/driver.hpp"
 #include "core/listing/driver_detail.hpp"
 #include "congest/network.hpp"
@@ -42,9 +45,32 @@ graph remove_edges(const graph& cur, const edge_list& removed) {
   return graph(cur.num_vertices(), next);
 }
 
+std::shared_ptr<const level_skeleton> settle_level(
+    control_plane_cache& cp, const control_plane_key& key, int level,
+    const graph& cur, level_plane plane, edge_list removed) {
+  if (plane.cached != nullptr) {
+    DCL_ENSURE(removed == plane.cached->retired,
+               "control-plane replay diverged: level " +
+                   std::to_string(level) +
+                   " retired a different edge set than the recorded run");
+    return std::move(plane.cached);
+  }
+  plane.fresh->retired = std::move(removed);
+  if (!plane.fresh->retired.empty())
+    plane.fresh->residual =
+        std::make_shared<const graph>(remove_edges(cur, plane.fresh->retired));
+  auto held = cp.publish(key, level, plane.fresh);
+  // A concurrent run recorded this level first; the two must agree.
+  DCL_ENSURE(held->retired == plane.fresh->retired,
+             "control-plane record diverged: two runs of level " +
+                 std::to_string(level) + " retired different edge sets");
+  return held;
+}
+
 }  // namespace detail
 
-listing_report list_triangles_congest(const graph& g, const listing_query& q,
+listing_report list_triangles_congest(control_plane_cache& cp,
+                                      const listing_query& q,
                                       runtime::thread_pool& pool,
                                       runtime::query_scratch& scratch,
                                       clique_collector& out,
@@ -54,11 +80,13 @@ listing_report list_triangles_congest(const graph& g, const listing_query& q,
               "epsilon must be below 1 (0 selects the default)");
   listing_report rep;  // fresh per run — never resets caller state
   // Every mutable byte of this run lives in `scratch` (one arena per
-  // worker slot) or on this stack frame; the pool and graph stay strictly
-  // read-only, which is what lets many runs share them concurrently.
+  // worker slot), on this stack frame, or in the mutex-guarded cache of
+  // immutable level skeletons; the pool and graph stay strictly read-only,
+  // which is what lets many runs share them concurrently.
   scratch.ensure_workers(pool.size());
 
-  const double epsilon = q.epsilon > 0 ? q.epsilon : 1.0 / 18.0;
+  const graph& g = cp.bound_graph();
+  const control_plane_key key = control_plane_key::of(q);
   const bool tracing = q.trace;
   auto tlog = tracing ? std::make_shared<trace_log>()
                       : std::shared_ptr<trace_log>{};
@@ -82,34 +110,39 @@ listing_report list_triangles_congest(const graph& g, const listing_query& q,
     rep.phase_seconds["fallback"] += detail::seconds_since(t0);
   };
   const auto run_t0 = std::chrono::steady_clock::now();
-  graph cur = g;
+  // The level graph: the bound graph itself at level 0, then the residual
+  // of the previous level's skeleton, which `held` keeps alive.
+  const graph* cur = &g;
+  std::shared_ptr<const level_skeleton> held;
   bool done = false;
 
   for (int level = 0; level < q.max_levels && !done; ++level) {
-    if (cur.num_edges() == 0) {
+    if (cur->num_edges() == 0) {
       done = true;
       break;
     }
     level_stats ls;
-    ls.edges_before = cur.num_edges();
+    ls.edges_before = cur->num_edges();
 
-    if (cur.num_edges() <= q.base_case_edges) {
-      run_fallback(cur);
+    if (cur->num_edges() <= q.base_case_edges) {
+      run_fallback(*cur);
       rep.levels.push_back(ls);
       done = true;
       break;
     }
 
-    decomposition_options dopt;
-    dopt.epsilon = epsilon;
-    const auto dec_t0 = std::chrono::steady_clock::now();
-    const auto d = decompose(cur, dopt);
+    detail::level_plane plane = detail::open_level(
+        cp, key, level, rep, [&](level_skeleton& fresh) {
+          const auto dec_t0 = std::chrono::steady_clock::now();
+          const auto d = decompose(*cur, {.epsilon = key.epsilon});
+          rep.phase_seconds["decompose"] += detail::seconds_since(dec_t0);
+          const auto ana_t0 = std::chrono::steady_clock::now();
+          fresh.anatomy = build_anatomy(*cur, d, {.p = 3});
+          rep.phase_seconds["anatomy"] += detail::seconds_since(ana_t0);
+        });
     rep.model_decomposition_rounds +=
-        cs20_decomposition_rounds(cur.num_vertices(), epsilon);
-    rep.phase_seconds["decompose"] += detail::seconds_since(dec_t0);
-    const auto ana_t0 = std::chrono::steady_clock::now();
-    const auto anatomy = build_anatomy(cur, d, {.p = 3});
-    rep.phase_seconds["anatomy"] += detail::seconds_since(ana_t0);
+        cs20_decomposition_rounds(cur->num_vertices(), key.epsilon);
+    const auto& anatomy = plane.anatomy();
     ls.clusters = std::int64_t(anatomy.size());
 
     cost_ledger level_ledger;
@@ -136,11 +169,11 @@ listing_report list_triangles_congest(const graph& g, const listing_query& q,
           oc.listed = true;
           // The worker slot's lease-parked transport keeps delivery scratch
           // and staging outboxes capacity-warm across this slot's clusters.
-          network net_c(cur, oc.ledger,
+          network net_c(*cur, oc.ledger,
                         &scratch.arena(worker).get<transport>(),
                         tracing ? &oc.rec : nullptr);
           oc.stats = list_k3_in_cluster(
-              net_c, cur, a, q.lb, splitmix64(q.seed + std::uint64_t(ci)),
+              net_c, *cur, a, q.lb, splitmix64(q.seed + std::uint64_t(ci)),
               oc.cliques, "cluster" + std::to_string(ci),
               &scratch.arena(worker), q.kernel, q.simd);
           return oc;
@@ -173,20 +206,23 @@ listing_report list_triangles_congest(const graph& g, const listing_query& q,
     ls.edges_removed = std::int64_t(removed.size());
     rep.levels.push_back(ls);
 
-    if (removed.empty()) {
+    auto settled = detail::settle_level(cp, key, level, *cur,
+                                        std::move(plane), std::move(removed));
+    if (settled->retired.empty()) {
       // No progress possible through the decomposition (degenerate input);
       // fall back to central listing of the residual graph.
-      run_fallback(cur);
+      run_fallback(*cur);
       rep.used_fallback = true;
       done = true;
       break;
     }
-    cur = detail::remove_edges(cur, removed);
-    if (cur.num_edges() == 0) done = true;
+    held = std::move(settled);
+    cur = held->residual.get();
+    if (cur->num_edges() == 0) done = true;
   }
-  if (!done && cur.num_edges() > 0) {
+  if (!done && cur->num_edges() > 0) {
     // Level budget exhausted: unconditional correctness via the fallback.
-    run_fallback(cur);
+    run_fallback(*cur);
     rep.used_fallback = true;
   }
   if (tracing) {

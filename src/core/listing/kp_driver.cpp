@@ -4,6 +4,7 @@
 #include <string>
 
 #include "congest/network.hpp"
+#include "core/listing/control_plane.hpp"
 #include "core/listing/driver.hpp"
 #include "core/listing/driver_detail.hpp"
 #include "core/listing/kp_cluster.hpp"
@@ -132,7 +133,8 @@ delivery_result deliver_eprime(network& net_c, const graph& g,
 
 }  // namespace
 
-listing_report list_kp_congest(const graph& g, const listing_query& q,
+listing_report list_kp_congest(control_plane_cache& cp,
+                               const listing_query& q,
                                runtime::thread_pool& pool,
                                runtime::query_scratch& scratch,
                                clique_collector& out,
@@ -143,12 +145,13 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
               "epsilon must be below 1 (0 selects the default)");
   listing_report rep;  // fresh per run — never resets caller state
   // Every mutable byte of this run lives in `scratch` (one arena per
-  // worker slot) or on this stack frame; the pool and graph stay strictly
-  // read-only, which is what lets many runs share them concurrently.
+  // worker slot), on this stack frame, or in the mutex-guarded cache of
+  // immutable level skeletons; the pool and graph stay strictly read-only,
+  // which is what lets many runs share them concurrently.
   scratch.ensure_workers(pool.size());
 
-  const double epsilon =
-      q.epsilon > 0 ? q.epsilon : (q.p == 4 ? 1.0 / 12.0 : 1.0 / 18.0);
+  const graph& g = cp.bound_graph();
+  const control_plane_key key = control_plane_key::of(q);
   const std::int64_t n_budget =
       budget_n_1_minus_2_over_p(g.num_vertices(), q.p);
   const bool tracing = q.trace;
@@ -173,34 +176,38 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
     rep.phase_seconds["fallback"] += detail::seconds_since(t0);
   };
   const auto run_t0 = std::chrono::steady_clock::now();
-  graph cur = g;
+  // The level graph: the bound graph itself at level 0, then the residual
+  // of the previous level's skeleton, which `held` keeps alive.
+  const graph* cur = &g;
+  std::shared_ptr<const level_skeleton> held;
   bool done = false;
 
   for (int level = 0; level < q.max_levels && !done; ++level) {
-    if (cur.num_edges() == 0) {
+    if (cur->num_edges() == 0) {
       done = true;
       break;
     }
     level_stats ls;
-    ls.edges_before = cur.num_edges();
-    if (cur.num_edges() <= q.base_case_edges) {
-      run_fallback(cur);
+    ls.edges_before = cur->num_edges();
+    if (cur->num_edges() <= q.base_case_edges) {
+      run_fallback(*cur);
       rep.levels.push_back(ls);
       done = true;
       break;
     }
 
-    decomposition_options dopt;
-    dopt.epsilon = epsilon;
-    const auto dec_t0 = std::chrono::steady_clock::now();
-    const auto d = decompose(cur, dopt);
+    detail::level_plane plane = detail::open_level(
+        cp, key, level, rep, [&](level_skeleton& fresh) {
+          const auto dec_t0 = std::chrono::steady_clock::now();
+          const auto d = decompose(*cur, {.epsilon = key.epsilon});
+          rep.phase_seconds["decompose"] += detail::seconds_since(dec_t0);
+          const auto ana_t0 = std::chrono::steady_clock::now();
+          fresh.anatomy = build_anatomy(*cur, d, {.p = q.p, .beta = q.beta});
+          rep.phase_seconds["anatomy"] += detail::seconds_since(ana_t0);
+        });
     rep.model_decomposition_rounds +=
-        cs20_decomposition_rounds(cur.num_vertices(), epsilon);
-    rep.phase_seconds["decompose"] += detail::seconds_since(dec_t0);
-    const auto ana_t0 = std::chrono::steady_clock::now();
-    const auto anatomy =
-        build_anatomy(cur, d, {.p = q.p, .beta = q.beta});
-    rep.phase_seconds["anatomy"] += detail::seconds_since(ana_t0);
+        cs20_decomposition_rounds(cur->num_vertices(), key.epsilon);
+    const auto& anatomy = plane.anatomy();
     ls.clusters = std::int64_t(anatomy.size());
 
     cost_ledger level_ledger;
@@ -211,17 +218,17 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
       const auto exh_t0 = std::chrono::steady_clock::now();
       cost_ledger exh_ledger;
       trace_recorder exh_rec;
-      network exh_net(cur, exh_ledger, nullptr,
+      network exh_net(*cur, exh_ledger, nullptr,
                       tracing ? &exh_rec : nullptr);
       std::vector<vertex> targets;
       std::int64_t alpha = 0;
-      std::vector<bool> is_low(size_t(cur.num_vertices()), false);
+      std::vector<bool> is_low(size_t(cur->num_vertices()), false);
       for (const auto& a : anatomy) {
         for (vertex v : a.v_open)
           if (!a.in_v_minus(v)) {
             targets.push_back(v);
             is_low[size_t(v)] = true;
-            alpha = std::max<std::int64_t>(alpha, cur.degree(v));
+            alpha = std::max<std::int64_t>(alpha, cur->degree(v));
           }
         ls.low_degree_targets +=
             std::int64_t(a.v_open.size() - a.v_minus.size());
@@ -237,7 +244,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
         // Runs sequentially before the cluster fan-out, so slot 0 is free:
         // the exhaustive listing's workspace stays warm across levels and
         // queries instead of being rebuilt call-local.
-        two_hop_listing(exh_net, cur, targets, alpha, q.p, exh_out,
+        two_hop_listing(exh_net, *cur, targets, alpha, q.p, exh_out,
                         "exhaustive", {}, &scratch.arena(0), q.kernel,
                         q.simd);
         const auto found = exh_out.finalize();
@@ -248,7 +255,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
                                    exh_ledger});
         if (tracing)
           tlog->absorb(exh_rec, level, kTraceBranchExhaustive,
-                       std::int64_t(cur.num_vertices()), 0.0);
+                       std::int64_t(cur->num_vertices()), 0.0);
       }
       // E− edges with a low-degree open endpoint are fully covered.
       for (const auto& a : anatomy)
@@ -283,12 +290,12 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
               plan->owns(level, std::int64_t(ci), detail::cluster_rep(a));
           // The worker slot's lease-parked transport keeps delivery scratch
           // and staging outboxes capacity-warm across this slot's clusters.
-          network net_c(cur, oc.ledger,
+          network net_c(*cur, oc.ledger,
                         &scratch.arena(worker).get<transport>(),
                         (tracing && owned) ? &oc.rec : nullptr);
           const std::string cl = "cluster" + std::to_string(ci);
 
-          const auto del = deliver_eprime(net_c, cur, a, n_budget,
+          const auto del = deliver_eprime(net_c, *cur, a, n_budget,
                                          cl + "/deliver", q.simd);
           oc.bad_vertices = std::int64_t(del.s_bad.size());
 
@@ -299,7 +306,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
           const bool overloaded =
               double(e_vm_vc) / double(a.v_minus.size()) <=
               double(del.eprime.edges.size()) /
-                  (q.gamma * double(cur.num_vertices()));
+                  (q.gamma * double(cur->num_vertices()));
           if (overloaded) {
             oc.deferred = true;
             return oc;
@@ -309,7 +316,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
           // good endpoint are fully covered by this cluster's listing.
           // Depends only on the anatomy and S_C, so non-owners retire the
           // same edges without listing.
-          std::vector<bool> is_bad(size_t(cur.num_vertices()), false);
+          std::vector<bool> is_bad(size_t(cur->num_vertices()), false);
           for (vertex v : del.s_bad) is_bad[size_t(v)] = true;
           for (const auto& e : a.e_minus) {
             if (!a.in_v_minus(e.u) || !a.in_v_minus(e.v)) continue;
@@ -320,7 +327,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
           oc.listed = true;
 
           oc.stats = list_kp_in_cluster(
-              net_c, cur, a, del.eprime, q.p, q.lb,
+              net_c, *cur, a, del.eprime, q.p, q.lb,
               splitmix64(q.seed + std::uint64_t(ci)), oc.cliques, cl,
               &scratch.arena(worker), q.kernel, q.simd);
           return oc;
@@ -354,17 +361,20 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
     ls.edges_removed = std::int64_t(removed.size());
     rep.levels.push_back(ls);
 
-    if (removed.empty()) {
-      run_fallback(cur);
+    auto settled = detail::settle_level(cp, key, level, *cur,
+                                        std::move(plane), std::move(removed));
+    if (settled->retired.empty()) {
+      run_fallback(*cur);
       rep.used_fallback = true;
       done = true;
       break;
     }
-    cur = detail::remove_edges(cur, removed);
-    if (cur.num_edges() == 0) done = true;
+    held = std::move(settled);
+    cur = held->residual.get();
+    if (cur->num_edges() == 0) done = true;
   }
-  if (!done && cur.num_edges() > 0) {
-    run_fallback(cur);
+  if (!done && cur->num_edges() > 0) {
+    run_fallback(*cur);
     rep.used_fallback = true;
   }
   if (tracing) {

@@ -36,14 +36,15 @@ TEST(FailureInjection, OptionsValidation) {
   // checks: an epsilon outside [0, 1), and p = 3 (the triangle driver's).
   runtime::thread_pool pool(1);
   runtime::query_scratch scratch;
+  control_plane_cache cp(g);
   q.p = 4;
   q.epsilon = 1.5;
   clique_collector out4(4);
-  EXPECT_THROW(list_kp_congest(g, q, pool, scratch, out4), precondition_error);
+  EXPECT_THROW(list_kp_congest(cp, q, pool, scratch, out4), precondition_error);
   q.p = 3;
   q.epsilon = 0.0;
   clique_collector out3(3);
-  EXPECT_THROW(list_kp_congest(g, q, pool, scratch, out3), precondition_error);
+  EXPECT_THROW(list_kp_congest(cp, q, pool, scratch, out3), precondition_error);
 }
 
 TEST(FailureInjection, DecompositionOptionValidation) {

@@ -9,15 +9,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <exception>
+#include <functional>
+#include <latch>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/api/session.hpp"
+#include "core/listing/collector.hpp"
 #include "enumkernel/limits.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
+#include "support/prng.hpp"
 
 namespace dcl {
 namespace {
@@ -389,7 +396,9 @@ void hammer_session(listing_engine engine, bool trace, int p,
   // Solo oracles, computed before any concurrency starts.
   const auto want = s.run(qc);
   const std::string want_trace = trace_bytes(want.report);
-  if (trace) ASSERT_FALSE(want_trace.empty());
+  if (trace) {
+    ASSERT_FALSE(want_trace.empty());
+  }
   const auto want_count = s.run(qn);
   const auto want_edges = s.cliques_in_edges(qe, g.edges());
   ASSERT_TRUE(want_edges.cliques == want.cliques);
@@ -570,6 +579,256 @@ TEST(ListingSession, SequentialRunsReuseOneWarmLease) {
   EXPECT_EQ(st.misses, 1);
   EXPECT_EQ(st.acquired, 8);  // warm-up + 6 runs + 1 edge query
   EXPECT_EQ(st.parked, 1);
+}
+
+// --- the memoized control plane (DESIGN.md §9) ------------------------------
+//
+// A session records each level's decomposition, anatomy, retired edges and
+// residual graph on the first run of a control-plane key and replays them
+// afterwards. Nothing observable may change: every check below compares
+// against a fresh session's first (recording) run.
+
+/// First difference between two congest results in cliques, the full
+/// ledger, level stats, model rounds, fallback flag, or trace bytes; ""
+/// when they agree. Usable off the main thread.
+std::string memo_diff(const query_result& a, const query_result& b) {
+  if (!(a.cliques == b.cliques)) return "cliques";
+  if (!(a.report.ledger == b.report.ledger)) return "ledger";
+  if (a.report.levels != b.report.levels) return "levels";
+  if (a.report.model_decomposition_rounds !=
+      b.report.model_decomposition_rounds)
+    return "model_decomposition_rounds";
+  if (a.report.used_fallback != b.report.used_fallback) return "used_fallback";
+  if (a.report.emitted != b.report.emitted ||
+      a.report.duplicates != b.report.duplicates)
+    return "emitted/duplicates";
+  if (trace_bytes(a.report) != trace_bytes(b.report)) return "trace bytes";
+  return "";
+}
+
+/// A fresh single-worker session's first (recording) run.
+query_result fresh_run(const graph& g, const listing_query& q) {
+  listing_session s(g);
+  return s.run(q);
+}
+
+TEST(ControlPlaneMemo, ReplayBitIdenticalToRecording) {
+  struct case_t {
+    const char* name;
+    graph g;
+  };
+  const case_t cases[] = {
+      {"ring_of_cliques", gen::ring_of_cliques(6, 8)},
+      {"planted_partition", gen::planted_partition(4, 20, 0.6, 0.02, 5)},
+      {"gnp", gen::gnp(60, 0.2, 3)},
+  };
+  bool multi_level = false;
+  for (const auto& c : cases) {
+    for (int p = 3; p <= 5; ++p) {
+      listing_query q;
+      q.p = p;
+      q.trace = true;
+      listing_session s(c.g, {.threads = 1});
+      const auto recorded = s.run(q);  // records the level chain
+      ASSERT_FALSE(trace_bytes(recorded.report).empty());
+      const auto replayed = s.run(q);
+      EXPECT_EQ(memo_diff(replayed, recorded), "")
+          << c.name << " p=" << p << " (same session, second run)";
+      EXPECT_EQ(s.control_plane_keys(), 1u);
+
+      listing_session wide(c.g, {.threads = 4});
+      for (int run = 0; run < 2; ++run)
+        EXPECT_EQ(memo_diff(wide.run(q), recorded), "")
+            << c.name << " p=" << p << " (threads=4, run " << run << ")";
+      multi_level = multi_level || recorded.report.levels.size() >= 2;
+    }
+  }
+  // At least one case replays a residual level, not just level 0.
+  EXPECT_TRUE(multi_level);
+}
+
+using query_edit = std::pair<const char*, std::function<void(listing_query&)>>;
+
+/// Interleaves `base` with variants that each change one control-plane
+/// field on one session; every answer must equal a fresh session's. A
+/// field missing from the key would replay the base chain for its variant.
+void expect_key_variants_isolated(const graph& g, const listing_query& base,
+                                  const std::vector<query_edit>& edits) {
+  std::vector<std::pair<std::string, listing_query>> vs = {{"base", base}};
+  for (const auto& [name, edit] : edits) {
+    listing_query v = base;
+    edit(v);
+    vs.emplace_back(name, v);
+  }
+  std::vector<query_result> want;
+  for (const auto& v : vs) want.push_back(fresh_run(g, v.second));
+  // Each variant must really move the answer, or this proves nothing.
+  for (std::size_t i = 1; i < vs.size(); ++i)
+    EXPECT_NE(memo_diff(want[i], want[0]), "")
+        << vs[i].first << " leaves the answer unchanged";
+
+  // base, v1, base, v2, ..., then every variant again in reverse order.
+  std::vector<std::size_t> order;
+  for (std::size_t i = 1; i < vs.size(); ++i) {
+    order.push_back(0);
+    order.push_back(i);
+  }
+  for (std::size_t i = vs.size(); i-- > 0;) order.push_back(i);
+  listing_session s(g, {.threads = 2});
+  for (const std::size_t i : order)
+    EXPECT_EQ(memo_diff(s.run(vs[i].second), want[i]), "") << vs[i].first;
+  EXPECT_LE(s.control_plane_keys(), control_plane_cache::kCapacity);
+}
+
+TEST(ControlPlaneMemo, EveryKeyFieldSplitsTheCache) {
+  // Bases with two levels, on graphs where each edited field changes the
+  // level chain: epsilon = 0.3 adds a level to the planted partition at
+  // p = 3; gamma = 0.01 defers a gnp cluster at p = 4, adding a level,
+  // and beta reshapes its anatomy.
+  const graph pp = gen::planted_partition(4, 20, 0.6, 0.02, 5);
+  listing_query q3;
+  q3.p = 3;
+  q3.trace = true;
+  q3.epsilon = 0.3;
+  expect_key_variants_isolated(
+      pp, q3,
+      {{"epsilon", [](listing_query& v) { v.epsilon = 0.0; }},
+       {"base_case_edges (central gather)",
+        [&](listing_query& v) { v.base_case_edges = pp.num_edges(); }},
+       {"max_levels", [](listing_query& v) { v.max_levels = 1; }}});
+
+  const graph gn = gen::gnp(60, 0.2, 3);
+  listing_query q4;
+  q4.p = 4;
+  q4.trace = true;
+  q4.gamma = 0.01;
+  expect_key_variants_isolated(
+      gn, q4,
+      {{"gamma", [](listing_query& v) { v.gamma = 12.0; }},
+       {"beta", [](listing_query& v) { v.beta = 0.5; }},
+       {"p", [](listing_query& v) { v.p = 5; }},
+       {"base_case_edges (central gather)",
+        [&](listing_query& v) { v.base_case_edges = gn.num_edges(); }},
+       {"max_levels", [](listing_query& v) { v.max_levels = 1; }}});
+}
+
+TEST(ControlPlaneMemo, NonKeyFieldsShareOneChain) {
+  // Output shape and performance knobs do not split the cache.
+  const graph g = gen::ring_of_cliques(5, 7);
+  listing_session s(g, {.threads = 2});
+  listing_query q;
+  q.p = 4;
+  const auto want = s.run(q);
+  listing_query v = q;
+  v.mode = sink_mode::count;
+  v.lb = lb_engine::randomized;
+  v.seed = 99;
+  v.trace = true;
+  v.kernel = enumkernel::kernel_mode::scalar;
+  v.simd = simd_mode::scalar;
+  v.stream_batch_tuples = 3;
+  EXPECT_EQ(s.run(v).count, want.count);
+  EXPECT_EQ(s.control_plane_keys(), 1u);
+}
+
+TEST(ControlPlaneMemo, EvictedKeyIsRecomputedCorrectly) {
+  const graph g = gen::ring_of_cliques(6, 8);
+  listing_query first;
+  first.p = 4;
+  first.trace = true;
+  const auto want = fresh_run(g, first);
+
+  listing_session s(g, {.threads = 2});
+  EXPECT_EQ(memo_diff(s.run(first), want), "");
+  // More distinct keys than the capacity push `first` out.
+  for (std::size_t i = 0; i < control_plane_cache::kCapacity + 2; ++i) {
+    listing_query other = first;
+    other.epsilon = 0.1 + 0.05 * double(i);
+    EXPECT_EQ(memo_diff(s.run(other), fresh_run(g, other)), "")
+        << "epsilon=" << other.epsilon;
+    EXPECT_LE(s.control_plane_keys(), control_plane_cache::kCapacity);
+  }
+  EXPECT_EQ(memo_diff(s.run(first), want), "");
+  EXPECT_EQ(memo_diff(s.run(first), want), "");  // and its replay
+}
+
+TEST(ControlPlaneMemo, ColdSessionConcurrentFirstQueries) {
+  // Eight threads race to record the same chain on a cold session: the
+  // first insert of each level wins, the losers are checked against it,
+  // and every answer is the fresh one.
+  for (const int p : {3, 4}) {
+    const graph g = gen::ring_of_cliques(5, 7);
+    listing_query q;
+    q.p = p;
+    q.trace = true;
+    const auto want = fresh_run(g, q);
+
+    listing_session s(g, {.threads = 2});
+    constexpr int kThreads = 8;
+    std::latch start(kThreads);
+    std::vector<std::string> errors(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        try {
+          errors[std::size_t(t)] = memo_diff(s.run(q), want);
+        } catch (const std::exception& e) {
+          errors[std::size_t(t)] = e.what();
+        }
+      });
+    for (auto& t : threads) t.join();
+    for (int t = 0; t < kThreads; ++t)
+      EXPECT_EQ(errors[std::size_t(t)], "") << "p=" << p << " thread " << t;
+    EXPECT_EQ(s.control_plane_keys(), 1u);
+    EXPECT_EQ(memo_diff(s.run(q), want), "");
+  }
+}
+
+TEST(ControlPlaneMemo, RunShardReplaysTheChainRecordedByRun) {
+  // A 2-shard plan issued on a session whose chain run() recorded: the
+  // shards' raw tuples and scoped ledgers fold (as the shard coordinator
+  // folds them) to the solo answer.
+  const graph g = gen::ring_of_cliques(6, 8);
+  for (const int p : {3, 4}) {
+    listing_query q;
+    q.p = p;
+    listing_session s(g, {.threads = 2});
+    const auto want = s.run(q);
+
+    clique_collector folded(p);
+    std::map<std::int32_t, cost_ledger> per_level;
+    cost_ledger sequential;
+    for (int shard = 0; shard < 2; ++shard) {
+      congest_shard_plan plan;
+      plan.shard = shard;
+      plan.shards = 2;
+      plan.owner = [](std::int32_t level, std::int64_t branch, vertex rep) {
+        if (branch == kTraceBranchSequential) return 0;
+        return int(splitmix64(std::uint64_t(rep) * 31 +
+                              std::uint64_t(level)) %
+                   2);
+      };
+      const auto r = s.run_shard(q, plan);
+      folded.merge_buffer(r.raw_tuples, /*tuples_presorted=*/true);
+      for (const auto& sl : r.scoped) {
+        if (sl.level < 0)
+          sequential.merge_sequential(sl.ledger);
+        else
+          per_level[sl.level].merge_parallel(sl.ledger);
+      }
+      EXPECT_EQ(r.report.levels, want.report.levels) << "shard " << shard;
+      EXPECT_EQ(r.report.model_decomposition_rounds,
+                want.report.model_decomposition_rounds);
+      EXPECT_EQ(r.report.used_fallback, want.report.used_fallback);
+    }
+    cost_ledger ledger;
+    for (const auto& [level, l] : per_level) ledger.merge_sequential(l);
+    ledger.merge_sequential(sequential);
+    EXPECT_TRUE(ledger == want.report.ledger) << "p=" << p;
+    EXPECT_TRUE(folded.finalize() == want.cliques) << "p=" << p;
+    EXPECT_EQ(s.control_plane_keys(), 1u);
+  }
 }
 
 TEST(ListingSession, ReportsAreFreshPerRun) {
