@@ -1,9 +1,11 @@
 // Thread-scaling benchmark for the cluster-parallel CONGEST simulation
 // runtime. Per graph family and per sim_threads value it measures the
-// wall-clock of the full simulated run and records the simulated CONGEST
-// cost (rounds/messages), cross-checking that cliques and ledger are
-// bit-identical to the single-threaded run — the determinism invariant the
-// runtime refactor must preserve (DESIGN.md §6).
+// wall-clock of the full simulated run (median of kTimedRuns warm queries)
+// and its split into the driver's exhaustive and cluster phases and the
+// collector's finalize (run minus the driver total), and records the
+// simulated CONGEST cost (rounds/messages), cross-checking that cliques
+// and ledger are bit-identical to the single-threaded run — the
+// determinism invariant the runtime refactor must preserve (DESIGN.md §6).
 //
 //   ./bench_congest_parallel [--smoke] [max_threads] [out.json]
 //
@@ -14,8 +16,10 @@
 // --smoke) so the perf trajectory is tracked across commits.
 // Self-contained on purpose: no google-benchmark dependency.
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,7 +31,20 @@
 
 namespace {
 
-using dcl::bench::best_seconds;
+// Warm queries timed per (family, sim_threads); medians are reported so a
+// single slow or fast outlier on a shared machine cannot set the number.
+constexpr int kTimedRuns = 7;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// A phase's seconds from a run report (0 when the phase did not run).
+double phase(const dcl::listing_report& r, const char* name) {
+  const auto it = r.phase_seconds.find(name);
+  return it == r.phase_seconds.end() ? 0.0 : it->second;
+}
 
 struct workload {
   std::string name;
@@ -89,7 +106,8 @@ int main(int argc, char** argv) {
   js << "{\n  \"benchmark\": \"congest_parallel\",\n"
      << "  " << bench::meta_json() << ",\n"
      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-     << ",\n  \"families\": [\n";
+     << ",\n  \"timed_runs\": " << kTimedRuns
+     << ", \"statistic\": \"median\",\n  \"families\": [\n";
 
   bool first_family = true;
   for (const auto& w : workloads) {
@@ -118,32 +136,54 @@ int main(int argc, char** argv) {
        << ", \"clusters_listed\": " << clusters_listed
        << ",\n     \"results\": [";
 
-    double t1 = 0.0;
-    bool first_t = true;
-    for (int threads = 1; threads <= max_threads; threads *= 2) {
-      // One session per worker-pool size; the timed loop measures warm
-      // per-query latency, which is the session API's serving shape.
-      listing_session session(w.g, {.threads = threads});
-      const auto run_checked = [&] {
-        const auto res = session.run(q);
-        // Determinism cross-check: clique set, full per-phase ledger and
-        // level stats must match the single-threaded reference exactly —
-        // on the recording first run and on every replay of the session's
-        // memoized control plane.
-        if (!(res.cliques == ref) ||
-            !(res.report.ledger == ref_report.ledger) ||
-            res.report.levels != ref_report.levels)
-          std::abort();
-      };
-      // Untimed: a session's first query records the control plane
-      // (DESIGN.md §9); warm latency is what every later query pays.
-      run_checked();
-      const double secs = best_seconds(run_checked);
-      if (threads == 1) t1 = secs;
-      if (!first_t) js << ", ";
-      first_t = false;
-      js << "{\"sim_threads\": " << threads << ", \"seconds\": " << secs
-         << ", \"speedup\": " << (secs > 0 ? t1 / secs : 0.0) << "}";
+    // One session per worker-pool size, each measuring warm per-query
+    // latency (the session API's serving shape). The timed runs rotate
+    // through the pool sizes, so a stretch of machine contention lands on
+    // every pool size alike instead of on whichever one ran during it.
+    struct arm {
+      int threads;
+      std::unique_ptr<listing_session> session;
+      std::vector<double> run_s, exhaustive_s, clusters_s, finalize_s;
+    };
+    std::vector<arm> arms;
+    for (int threads = 1; threads <= max_threads; threads *= 2)
+      arms.push_back({threads,
+                      std::make_unique<listing_session>(
+                          w.g, session_options{.threads = threads}),
+                      {}, {}, {}, {}});
+    const auto run_checked = [&](arm& a, bool timed) {
+      const double t0 = bench::now_seconds();
+      const auto res = a.session->run(q);
+      const double secs = bench::now_seconds() - t0;
+      // Determinism cross-check: clique set, full per-phase ledger and
+      // level stats must match the single-threaded reference exactly — on
+      // the recording first run and on every replay of the session's
+      // memoized control plane.
+      if (!(res.cliques == ref) ||
+          !(res.report.ledger == ref_report.ledger) ||
+          res.report.levels != ref_report.levels)
+        std::abort();
+      if (!timed) return;
+      a.run_s.push_back(secs);
+      a.exhaustive_s.push_back(phase(res.report, "exhaustive"));
+      a.clusters_s.push_back(phase(res.report, "clusters"));
+      a.finalize_s.push_back(secs - phase(res.report, "total"));
+    };
+    // Untimed: a session's first query records the control plane
+    // (DESIGN.md §9); warm latency is what every later query pays.
+    for (auto& a : arms) run_checked(a, false);
+    for (int r = 0; r < kTimedRuns; ++r)
+      for (auto& a : arms) run_checked(a, true);
+
+    const double t1 = median(arms.front().run_s);
+    for (const auto& a : arms) {
+      const double secs = median(a.run_s);
+      js << (a.threads == 1 ? "" : ", ") << "{\"sim_threads\": " << a.threads
+         << ", \"seconds\": " << secs
+         << ", \"speedup\": " << (secs > 0 ? t1 / secs : 0.0)
+         << ", \"exhaustive_s\": " << median(a.exhaustive_s)
+         << ", \"clusters_s\": " << median(a.clusters_s)
+         << ", \"finalize_s\": " << median(a.finalize_s) << "}";
     }
     js << "]}";
   }

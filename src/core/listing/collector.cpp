@@ -1,5 +1,7 @@
 #include "core/listing/collector.hpp"
 
+#include <utility>
+
 #include "support/check.hpp"
 
 namespace dcl {
@@ -41,6 +43,9 @@ const clique_set& clique_collector::finalize_in_place() {
   return set_;
 }
 
-clique_set clique_collector::finalize() { return finalize_in_place(); }
+clique_set clique_collector::finalize() {
+  finalize_in_place();
+  return std::move(set_);
+}
 
 }  // namespace dcl

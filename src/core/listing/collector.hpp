@@ -58,9 +58,9 @@ class clique_collector {
     return set_.flat_view();
   }
 
-  /// Deduplicates and returns the canonical set; afterwards duplicates()
-  /// reports how many emissions were redundant. Single-shot (shared with
-  /// finalize_in_place — exactly one of the two may run).
+  /// Deduplicates and moves the canonical set out (no copy); afterwards
+  /// duplicates() reports how many emissions were redundant. Single-shot
+  /// (shared with finalize_in_place — exactly one of the two may run).
   clique_set finalize();
 
   /// Zero-copy finalization behind count-only and streaming queries:

@@ -240,15 +240,14 @@ listing_report list_kp_congest(control_plane_cache& cp,
       if (!targets.empty() &&
           (plan == nullptr ||
            plan->owns(level, kTraceBranchExhaustive, targets.front()))) {
-        clique_collector exh_out(q.p);
-        // Runs sequentially before the cluster fan-out, so slot 0 is free:
-        // the exhaustive listing's workspace stays warm across levels and
-        // queries instead of being rebuilt call-local.
-        two_hop_listing(exh_net, *cur, targets, alpha, q.p, exh_out,
-                        "exhaustive", {}, &scratch.arena(0), q.kernel,
-                        q.simd);
-        const auto found = exh_out.finalize();
-        for (std::int64_t t = 0; t < found.size(); ++t) out.emit(found[t]);
+        // The sweep fans out over the pool before the cluster fan-out;
+        // its chunks fold in chunk order into one charge, so the ledger
+        // and trace match a one-thread run. The min-target rule emits each
+        // clique once (TwoHop.* tests pin zero duplicates), so the tuples
+        // go straight into `out`, unsorted: the query's one canonical fold
+        // sorts them with everything else.
+        two_hop_listing(exh_net, *cur, targets, alpha, q.p, out,
+                        "exhaustive", pool, scratch, q.kernel, q.simd);
         level_ledger.merge_parallel(exh_ledger);
         if (plan != nullptr && plan->scoped != nullptr)
           plan->scoped->push_back({level, kTraceBranchExhaustive,

@@ -1,6 +1,9 @@
 #include "graph/clique_enum.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
 
 #include "enumkernel/kernel.hpp"
 #include "support/check.hpp"
@@ -38,7 +41,77 @@ void clique_set::add_flat(std::span<const vertex> flat,
   normalized_ = false;
 }
 
+namespace {
+
+constexpr int kRadixDigitBits = 11;
+constexpr std::size_t kRadixBuckets = std::size_t(1) << kRadixDigitBits;
+
+/// LSD radix sort of `keys` on their low `key_bits` bits, 11-bit digits,
+/// `tmp` as the ping-pong buffer. One counting pass builds every digit's
+/// histogram; a digit on which all keys agree is skipped. The sorted keys
+/// end up in `keys`.
+void radix_sort(std::vector<std::uint64_t>& keys,
+                std::vector<std::uint64_t>& tmp, int key_bits) {
+  const int digits = (key_bits + kRadixDigitBits - 1) / kRadixDigitBits;
+  const std::uint64_t mask = kRadixBuckets - 1;
+  std::vector<std::size_t> hist(size_t(digits) * kRadixBuckets, 0);
+  for (const std::uint64_t k : keys)
+    for (int d = 0; d < digits; ++d)
+      ++hist[size_t(d) * kRadixBuckets +
+             size_t((k >> (d * kRadixDigitBits)) & mask)];
+  tmp.resize(keys.size());
+  for (int d = 0; d < digits; ++d) {
+    std::size_t* h = hist.data() + size_t(d) * kRadixBuckets;
+    const int shift = d * kRadixDigitBits;
+    if (h[(keys.front() >> shift) & mask] == keys.size()) continue;
+    std::size_t sum = 0;
+    for (std::size_t b = 0; b < kRadixBuckets; ++b)
+      sum += std::exchange(h[b], sum);
+    for (const std::uint64_t k : keys) tmp[h[(k >> shift) & mask]++] = k;
+    keys.swap(tmp);
+  }
+}
+
+}  // namespace
+
 std::int64_t clique_set::normalize() {
+  const std::int64_t before = size();
+  normalized_ = true;
+  if (before == 0) return 0;
+  // Tuples are individually ascending, so the id range is spanned by the
+  // first and last columns.
+  vertex lo = flat_[0], hi = 0;
+  for (std::size_t i = 0; i < flat_.size(); i += size_t(p_)) {
+    lo = std::min(lo, flat_[i]);
+    hi = std::max(hi, flat_[i + size_t(p_) - 1]);
+  }
+  const int bits = std::max(1, int(std::bit_width(std::uint32_t(hi))));
+  if (lo < 0 || p_ * bits > 64) return normalize_wide();
+
+  // Packed path: each tuple becomes one p·bits-bit key whose numeric order
+  // is the tuples' lexicographic order.
+  std::vector<std::uint64_t> keys(static_cast<std::size_t>(before));
+  for (std::int64_t t = 0; t < before; ++t) {
+    std::uint64_t k = 0;
+    for (const vertex v : (*this)[t]) k = (k << bits) | std::uint64_t(v);
+    keys[size_t(t)] = k;
+  }
+  {
+    std::vector<std::uint64_t> tmp;
+    radix_sort(keys, tmp, p_ * bits);
+  }
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const std::uint64_t vmask = (std::uint64_t(1) << bits) - 1;
+  for (std::size_t t = 0; t < keys.size(); ++t) {
+    std::uint64_t k = keys[t];
+    for (int j = p_ - 1; j >= 0; --j, k >>= bits)
+      flat_[t * size_t(p_) + size_t(j)] = vertex(k & vmask);
+  }
+  flat_.resize(keys.size() * size_t(p_));
+  return before - size();
+}
+
+std::int64_t clique_set::normalize_wide() {
   const std::int64_t before = size();
   std::vector<std::int64_t> idx(static_cast<std::size_t>(before));
   for (std::int64_t i = 0; i < before; ++i) idx[size_t(i)] = i;
@@ -60,7 +133,6 @@ std::int64_t clique_set::normalize() {
     out.insert(out.end(), k.begin(), k.end());
   }
   flat_ = std::move(out);
-  normalized_ = true;
   return before - size();
 }
 

@@ -3,7 +3,8 @@
 // shared enumeration kernel (enumkernel/kernel.hpp) — the ground truth
 // every distributed listing run is checked against, and itself a baseline
 // (§1.3 discusses the centralized view). Cliques are canonical sorted
-// p-tuples. The adapters construct a call-local kernel scratch; hot paths
+// p-tuples; normalize() is the one canonical fold (packed-key LSD radix
+// sort, with a comparator sort for tuples too wide to pack). The adapters construct a call-local kernel scratch; hot paths
 // that enumerate repeatedly use the kernel directly with a reused
 // enum_scratch instead.
 
@@ -33,7 +34,13 @@ class clique_set {
   void add_flat(std::span<const vertex> flat, bool tuples_presorted = false);
 
   /// Sorts tuples internally and lexicographically; removes duplicates.
-  /// Returns the number of duplicates removed.
+  /// Returns the number of duplicates removed. The canonical fold of every
+  /// collect, count and stream query. When p·bits(max vertex) <= 64 each
+  /// tuple is packed into one uint64_t key whose numeric order is the
+  /// lexicographic order; the keys are LSD-radix-sorted (11-bit digits),
+  /// uniqued and unpacked in place — the only extra memory is the two key
+  /// buffers. Wider tuples take the comparator sort (normalize_wide). The
+  /// path is picked from the data; the result is the same either way.
   std::int64_t normalize();
 
   std::span<const vertex> operator[](std::int64_t i) const {
@@ -52,6 +59,10 @@ class clique_set {
   }
 
  private:
+  /// normalize() for tuples too wide to pack: an index sort with
+  /// lexicographic span compares, then a gather.
+  std::int64_t normalize_wide();
+
   int p_;
   std::vector<vertex> flat_;
   bool normalized_ = true;

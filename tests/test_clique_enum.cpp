@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/clique_enum.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
+#include "support/prng.hpp"
 
 namespace dcl {
 namespace {
@@ -42,6 +48,95 @@ TEST(CliqueSet, TuplesComeOutSorted) {
   EXPECT_EQ(t[0], 7);
   EXPECT_EQ(t[1], 8);
   EXPECT_EQ(t[2], 9);
+}
+
+using tuple_list = std::vector<std::vector<vertex>>;
+
+/// normalize() against a std::set oracle: the same canonical tuples in the
+/// same order, and the same duplicate count; a second normalize() is a
+/// no-op.
+void expect_normalize_matches_oracle(int p, const tuple_list& tuples,
+                                     const std::string& what) {
+  clique_set s(p);
+  std::set<std::vector<vertex>> oracle;
+  for (auto t : tuples) {
+    s.add(t);
+    std::sort(t.begin(), t.end());
+    oracle.insert(t);
+  }
+  EXPECT_EQ(s.normalize(),
+            std::int64_t(tuples.size()) - std::int64_t(oracle.size()))
+      << what;
+  ASSERT_EQ(s.size(), std::int64_t(oracle.size())) << what;
+  std::int64_t i = 0;
+  for (const auto& want : oracle) {
+    const auto got = s[i++];
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << what << ": tuple " << i - 1;
+  }
+  EXPECT_EQ(s.normalize(), 0) << what;
+}
+
+/// `count` random p-tuples (any vertex order) over ids in [0, 2^bits),
+/// drawn with repetition from a pool of count/2 distinct draws so that
+/// duplicates occur; the id 2^bits - 1 is always present, pinning the key
+/// width at exactly p·bits.
+tuple_list random_tuples(int p, int bits, int count, std::uint64_t seed) {
+  prng rng(seed);
+  const std::uint64_t top = std::uint64_t(1) << bits;
+  tuple_list pool(size_t(count / 2 + 1), std::vector<vertex>(size_t(p)));
+  for (auto& t : pool)
+    for (auto& v : t) v = vertex(rng.next_below(top));
+  pool[0][size_t(p / 2)] = vertex(top - 1);
+  tuple_list out{pool[0]};
+  for (int i = 1; i < count; ++i)
+    out.push_back(pool[size_t(rng.next_below(pool.size()))]);
+  return out;
+}
+
+TEST(CliqueSet, NormalizeMatchesSetOracleAcrossKeyWidths) {
+  // For each arity: ids just narrower than, exactly at, and just wider than
+  // the widest that packs into 64 bits — both fold paths. (At p = 2 even
+  // 31-bit ids pack, so the wide path is unreachable there.)
+  for (const int p : {2, 3, 4, 5, 6, 8, 16}) {
+    const int widest_packed = std::min(31, 64 / p);
+    for (const int bits :
+         {widest_packed - 1, widest_packed, widest_packed + 1}) {
+      if (bits > 31) continue;
+      for (const int count : {1, 7, 600}) {
+        expect_normalize_matches_oracle(
+            p, random_tuples(p, bits, count, std::uint64_t(p * 1000 + bits)),
+            "p=" + std::to_string(p) + " bits=" + std::to_string(bits) +
+                " (p*bits=" + std::to_string(p * bits) +
+                ") count=" + std::to_string(count));
+      }
+    }
+  }
+}
+
+TEST(CliqueSet, NormalizeEdgeCases) {
+  constexpr vertex kMax = std::numeric_limits<vertex>::max();
+  {
+    clique_set empty(4);
+    EXPECT_EQ(empty.normalize(), 0);
+    EXPECT_EQ(empty.size(), 0);
+  }
+  for (const int p : {2, 3, 4}) {
+    const std::string at = "p=" + std::to_string(p);
+    std::vector<vertex> low(static_cast<std::size_t>(p));
+    std::vector<vertex> high(static_cast<std::size_t>(p));
+    for (int j = 0; j < p; ++j) {
+      low[size_t(j)] = vertex(p - 1 - j);  // includes vertex 0
+      high[size_t(j)] = kMax - vertex(j);  // ids near INT32_MAX
+    }
+    expect_normalize_matches_oracle(p, {low}, at + " single tuple");
+    expect_normalize_matches_oracle(p, tuple_list(50, high),
+                                    at + " all duplicates near INT32_MAX");
+    expect_normalize_matches_oracle(
+        p, {std::vector<vertex>(size_t(p), 0)}, at + " all-zero tuple");
+    expect_normalize_matches_oracle(p, {high, low, high, low},
+                                    at + " vertex 0 and INT32_MAX mixed");
+  }
 }
 
 TEST(Triangles, CompleteGraphCount) {

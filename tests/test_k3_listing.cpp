@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/api/session.hpp"
 #include "core/listing/two_hop.hpp"
 #include "graph/generators.hpp"
+#include "runtime/thread_pool.hpp"
 #include "support/check.hpp"
 
 namespace dcl {
@@ -62,6 +66,55 @@ TEST(TwoHop, K4ThroughTargets) {
   clique_collector out(3 + 1);
   two_hop_listing(net, g, targets, alpha, 4, out, "th");
   EXPECT_TRUE(out.finalize() == collect_cliques(g, 4));
+}
+
+TEST(TwoHop, EmitsEachCliqueOnceOnEveryPoolSize) {
+  // Every vertex a target: each clique contains up to p targets, and the
+  // min-target rule must still emit it exactly once — the K_p driver feeds
+  // these tuples into the query's fold without a dedup of their own. The
+  // pooled sweep must reproduce the inline one's charge and tuple stream
+  // (order included) at every pool size, also with fewer targets than
+  // chunks.
+  const graph graphs[] = {gen::gnp(60, 0.3, 3),
+                          gen::planted_cliques(50, 0.05, 2, 6, 7),
+                          gen::complete(7)};
+  for (const auto& g : graphs) {
+    std::vector<vertex> targets;
+    std::int64_t alpha = 0;
+    for (vertex v = 0; v < g.num_vertices(); ++v) {
+      targets.push_back(v);
+      alpha = std::max<std::int64_t>(alpha, g.degree(v));
+    }
+    for (int p = 3; p <= 5; ++p) {
+      cost_ledger want_ledger;
+      network want_net(g, want_ledger);
+      clique_collector want(p);
+      const auto want_stats =
+          two_hop_listing(want_net, g, targets, alpha, p, want, "th");
+      const std::vector<vertex> want_raw(want.raw_view().begin(),
+                                         want.raw_view().end());
+      const std::int64_t emitted = want.emitted();
+      EXPECT_TRUE(want.finalize() == collect_cliques(g, p)) << "p=" << p;
+      EXPECT_EQ(want.duplicates(), 0) << "p=" << p;
+      EXPECT_GT(emitted, 0) << "p=" << p;
+
+      for (const int threads : {1, 2, 3, 8}) {
+        runtime::thread_pool pool(threads);
+        runtime::query_scratch scratch;
+        cost_ledger ledger;
+        network net(g, ledger);
+        clique_collector got(p);
+        const auto stats = two_hop_listing(net, g, targets, alpha, p, got,
+                                           "th", pool, scratch);
+        EXPECT_EQ(stats.rounds, want_stats.rounds) << threads;
+        EXPECT_EQ(stats.messages, want_stats.messages) << threads;
+        EXPECT_TRUE(ledger == want_ledger) << "p=" << p << " " << threads;
+        EXPECT_TRUE(std::equal(got.raw_view().begin(), got.raw_view().end(),
+                               want_raw.begin(), want_raw.end()))
+            << "p=" << p << " threads=" << threads;
+      }
+    }
+  }
 }
 
 TEST(K3Listing, ExactOnGnp) {

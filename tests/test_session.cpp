@@ -831,6 +831,57 @@ TEST(ControlPlaneMemo, RunShardReplaysTheChainRecordedByRun) {
   }
 }
 
+TEST(ExhaustiveSweep, ThreadInvariantWithTrace) {
+  // The K_p driver's Lemma 41 sweep fans its targets out over the pool in
+  // chunks and folds them in chunk order. Against a one-worker session,
+  // every pool size must give the same cliques, ledger, levels,
+  // emitted/duplicates and trace bytes — including gnp(24, 0.5) at p = 4,
+  // whose 6 targets are fewer than the chunks of a 2-worker pool.
+  struct case_t {
+    const char* name;
+    graph g;
+    int p;
+  };
+  const case_t cases[] = {
+      {"planted_partition", gen::planted_partition(5, 50, 0.6, 0.003, 23), 4},
+      {"power_law", gen::power_law(110, 2.4, 10.0, 13), 5},
+      {"gnp_few_targets", gen::gnp(24, 0.5, 3), 4},
+      {"gnp_few_targets", gen::gnp(24, 0.5, 3), 5},
+  };
+  for (const auto& c : cases) {
+    listing_query q;
+    q.p = c.p;
+    q.trace = true;
+    const auto want = fresh_run(c.g, q);
+    ASSERT_FALSE(want.report.levels.empty());
+    EXPECT_GT(want.report.levels[0].low_degree_targets, 0) << c.name;
+    ASSERT_FALSE(trace_bytes(want.report).empty());
+    for (const int threads : {1, 2, 3, 8}) {
+      listing_session s(c.g, {.threads = threads});
+      for (int run = 0; run < 2; ++run)
+        EXPECT_EQ(memo_diff(s.run(q), want), "")
+            << c.name << " p=" << c.p << " threads=" << threads << " run "
+            << run;
+    }
+  }
+}
+
+TEST(ExhaustiveSweep, PlantedPartitionK4EmissionsPinned) {
+  // The perfbench congest-k4 instance: 122,607 emissions folding to 56,890
+  // distinct K4s. The exhaustive tuples join the fold without a dedup of
+  // their own, so a second emission of any of them would move these.
+  const graph g = gen::planted_partition(5, 50, 0.6, 0.003, 23);
+  listing_query q;
+  q.p = 4;
+  for (const int threads : {1, 4}) {
+    const auto r = listing_session(g, {.threads = threads}).run(q);
+    EXPECT_EQ(r.report.emitted, 122607) << threads;
+    EXPECT_EQ(r.report.duplicates, 65717) << threads;
+    EXPECT_EQ(r.cliques.size(), 56890) << threads;
+    EXPECT_TRUE(r.cliques == collect_cliques(g, 4)) << threads;
+  }
+}
+
 TEST(ListingSession, ReportsAreFreshPerRun) {
   // The old drivers reset a caller-held report in place; the session API
   // returns a new value per run, so a stale result can never alias a live
