@@ -16,12 +16,11 @@
 // clients start. Bit-identity under concurrency and coalescing is the
 // tentpole invariant, so the bench refuses to report numbers without it.
 //
-// Wall-clock caveat: the checked-in JSON comes from a 1-CPU container
-// (see "hardware_concurrency" in meta), where concurrent clients share
-// one core — multi-client throughput reads ~flat there and the
-// *_scaling numbers are not meaningful hardware speedups. The coalescing
-// ratio (kernel_sweeps / queries) is schedule-independent and is the
-// number tracked across commits.
+// Wall-clock caveat: multi-client throughput can only scale with the cores
+// the machine grants (meta "hardware_concurrency" records how many it
+// reported; on a shared machine fewer may be free), so read the *_scaling
+// numbers against that. The coalescing ratio (kernel_sweeps / queries) is
+// schedule-independent and is the number tracked across commits.
 
 #include <atomic>
 #include <cstdlib>
@@ -267,10 +266,10 @@ int main(int argc, char** argv) {
 
   std::ostringstream js;
   js << "{\n  \"benchmark\": \"serving\",\n  " << bench::meta_json() << ",\n"
-     << "  \"note\": \"latencies include queueing; on a 1-CPU container "
-        "clients share one core, so multi-client throughput reads ~flat "
-        "and only the coalescing ratio (kernel_sweeps/queries) is a "
-        "hardware-independent signal\",\n"
+     << "  \"note\": \"latencies include queueing; multi-client "
+        "throughput scales only with the cores granted (meta "
+        "hardware_concurrency), while the coalescing ratio "
+        "(kernel_sweeps/queries) is hardware-independent\",\n"
      << "  \"cells\": [\n";
   bool first = true;
   bool coalescing_seen = false;

@@ -7,7 +7,7 @@ namespace dcl::enumkernel {
 
 namespace detail {
 
-vertex remap_edges_dense(std::span<const edge> edges, enum_scratch& ws) {
+vertex remap_edges_by_search(std::span<const edge> edges, enum_scratch& ws) {
   ws.canon.clear();
   ws.canon.reserve(edges.size());
   for (const auto& e : edges) {
@@ -37,6 +37,47 @@ vertex remap_edges_dense(std::span<const edge> edges, enum_scratch& ws) {
   };
   for (auto& e : ws.canon) e = {local(e.u), local(e.v)};
   return vertex(ws.members.size());
+}
+
+namespace {
+
+/// The rank path of remap_edges_dense; requires 0 <= every id <= max_id.
+vertex remap_edges_by_rank(std::span<const edge> edges, vertex max_id,
+                           enum_scratch& ws) {
+  // Mark every endpoint of a non-loop edge, then one ascending scan turns
+  // the marks into ranks: members comes out ascending, so the remap is
+  // monotone exactly like the binary-search path's.
+  ws.rank.assign(std::size_t(max_id) + 1, 0);
+  for (const auto& e : edges) {
+    if (e.u == e.v) continue;
+    ws.rank[std::size_t(e.u)] = 1;
+    ws.rank[std::size_t(e.v)] = 1;
+  }
+  ws.members.clear();
+  for (vertex x = 0; x <= max_id; ++x)
+    if (ws.rank[std::size_t(x)] != 0) {
+      ws.rank[std::size_t(x)] = vertex(ws.members.size());
+      ws.members.push_back(x);
+    }
+  const vertex n_local = vertex(ws.members.size());
+  canonicalize_edges_packed(
+      edges, [&](vertex v) { return ws.rank[std::size_t(v)]; },
+      edge_id_bits(n_local), ws.edge_keys, ws.canon);
+  return n_local;
+}
+
+}  // namespace
+
+vertex remap_edges_dense(std::span<const edge> edges, enum_scratch& ws) {
+  vertex lo = 0, hi = -1;
+  for (const auto& e : edges) {
+    lo = std::min({lo, e.u, e.v});
+    hi = std::max({hi, e.u, e.v});
+  }
+  if (lo >= 0 &&
+      std::int64_t(hi) < 2 * std::int64_t(edges.size()) + kRankTableSlack)
+    return remap_edges_by_rank(edges, hi, ws);
+  return remap_edges_by_search(edges, ws);
 }
 
 csr_view build_local_csr(enum_scratch& ws, vertex n_local) {

@@ -39,6 +39,7 @@
 #include "enumkernel/limits.hpp"
 #include "enumkernel/orient.hpp"
 #include "graph/clique_enum.hpp"
+#include "graph/edge_canon.hpp"
 #include "support/check.hpp"
 #include "support/simd.hpp"
 
@@ -126,6 +127,8 @@ struct enum_scratch {
   // Edge-list entry: canonicalized edges, dense remap, local CSR.
   edge_list canon;                     ///< deduped edges, local ids
   std::vector<vertex> members;         ///< local id -> caller vertex id
+  std::vector<vertex> rank;            ///< rank path: caller id -> local id
+  edge_key_buffers edge_keys;          ///< rank path: packed local edges
   std::vector<std::int64_t> csr_offsets;
   std::vector<vertex> csr_adj;
   std::vector<std::int64_t> csr_cursor;
@@ -496,10 +499,28 @@ class arc_enumerator {
 
 namespace detail {
 
+/// The rank path serves an edge list when every id is >= 0 and the largest
+/// is below 2·|edges| + kRankTableSlack, so its table never outgrows the
+/// input by more than a constant.
+inline constexpr std::int64_t kRankTableSlack = 64;
+
 /// Canonicalizes `edges` into ws.canon (self-loops dropped, duplicates
-/// merged) and remaps endpoints to dense local ids 0..n_local-1 via
-/// ws.members (ascending, so the remap is monotone). Returns n_local.
+/// merged, lexicographic order) and remaps endpoints to dense local ids
+/// 0..n_local-1 via ws.members (ascending, so the remap is monotone).
+/// Returns n_local. The data picks one of two paths with identical output
+/// (canon, members, n_local):
+///   * rank path — ids dense enough for a table: mark
+///     the endpoints in ws.rank, scan it once to build members and ranks,
+///     then radix-sort the packed local (u, v) keys. O(m + max id) = O(m).
+///   * search path (remap_edges_by_search) — any other input (negative or
+///     sparse billion-scale ids): sort the caller-id edges and the member
+///     ids, remap by binary search. O(m log m), nothing sized by the id
+///     universe.
 vertex remap_edges_dense(std::span<const edge> edges, enum_scratch& ws);
+
+/// The search path of remap_edges_dense, on its own for any ids: the
+/// reference the rank path is tested against.
+vertex remap_edges_by_search(std::span<const edge> edges, enum_scratch& ws);
 
 /// Builds the local CSR over ws.canon (which must hold local-id edges) into
 /// ws.csr_offsets / ws.csr_adj. Adjacency comes out ascending because the
@@ -542,10 +563,14 @@ std::int64_t count_cliques(
 
 /// Enumerates every p-clique of an explicit edge set (not a full graph) —
 /// the cluster-local hot path: every CONGEST cluster finishes by listing
-/// the cliques of the edge set it learned. The edge list may contain
-/// duplicates and self-loops; vertex ids are arbitrary non-negative values
-/// and are remapped densely internally (no throwaway parent graph), so
-/// sparse billion-scale ids cost nothing. Sink contract and determinism as
+/// the cliques of the edge set it learned, and the serving layer's
+/// edge-scoped queries enter here too. The edge list may contain
+/// duplicates and self-loops; vertex ids are arbitrary values and are
+/// remapped densely internally (no throwaway parent graph). Canonicalization
+/// is linear time when the ids are non-negative and below 2·|edges| + 64
+/// (a rank table plus one radix sort); sparse billion-scale or negative ids
+/// fall back to an O(m log m) sort that allocates nothing sized by the id
+/// universe (detail::remap_edges_dense). Sink contract and determinism as
 /// in enumerate_cliques; emitted tuples use the caller's original ids.
 /// Accepts any contiguous edge range (an edge_list converts implicitly),
 /// so a slice of a larger concatenated buffer enumerates without a copy.

@@ -7,6 +7,7 @@
 
 #include "enumkernel/kernel.hpp"
 #include "support/check.hpp"
+#include "support/radix_sort.hpp"
 
 namespace dcl {
 
@@ -40,39 +41,6 @@ void clique_set::add_flat(std::span<const vertex> flat,
   }
   normalized_ = false;
 }
-
-namespace {
-
-constexpr int kRadixDigitBits = 11;
-constexpr std::size_t kRadixBuckets = std::size_t(1) << kRadixDigitBits;
-
-/// LSD radix sort of `keys` on their low `key_bits` bits, 11-bit digits,
-/// `tmp` as the ping-pong buffer. One counting pass builds every digit's
-/// histogram; a digit on which all keys agree is skipped. The sorted keys
-/// end up in `keys`.
-void radix_sort(std::vector<std::uint64_t>& keys,
-                std::vector<std::uint64_t>& tmp, int key_bits) {
-  const int digits = (key_bits + kRadixDigitBits - 1) / kRadixDigitBits;
-  const std::uint64_t mask = kRadixBuckets - 1;
-  std::vector<std::size_t> hist(size_t(digits) * kRadixBuckets, 0);
-  for (const std::uint64_t k : keys)
-    for (int d = 0; d < digits; ++d)
-      ++hist[size_t(d) * kRadixBuckets +
-             size_t((k >> (d * kRadixDigitBits)) & mask)];
-  tmp.resize(keys.size());
-  for (int d = 0; d < digits; ++d) {
-    std::size_t* h = hist.data() + size_t(d) * kRadixBuckets;
-    const int shift = d * kRadixDigitBits;
-    if (h[(keys.front() >> shift) & mask] == keys.size()) continue;
-    std::size_t sum = 0;
-    for (std::size_t b = 0; b < kRadixBuckets; ++b)
-      sum += std::exchange(h[b], sum);
-    for (const std::uint64_t k : keys) tmp[h[(k >> shift) & mask]++] = k;
-    keys.swap(tmp);
-  }
-}
-
-}  // namespace
 
 std::int64_t clique_set::normalize() {
   const std::int64_t before = size();

@@ -37,9 +37,10 @@ class clique_set {
   /// Returns the number of duplicates removed. The canonical fold of every
   /// collect, count and stream query. When p·bits(max vertex) <= 64 each
   /// tuple is packed into one uint64_t key whose numeric order is the
-  /// lexicographic order; the keys are LSD-radix-sorted (11-bit digits),
-  /// uniqued and unpacked in place — the only extra memory is the two key
-  /// buffers. Wider tuples take the comparator sort (normalize_wide). The
+  /// lexicographic order; the keys are sorted by the shared radix_sort
+  /// (support/radix_sort.hpp), uniqued and unpacked in place — the only
+  /// extra memory is the two key buffers. Wider tuples take the comparator
+  /// sort (normalize_wide). The
   /// path is picked from the data; the result is the same either way.
   std::int64_t normalize();
 

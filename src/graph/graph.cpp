@@ -1,7 +1,9 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 
+#include "graph/edge_canon.hpp"
 #include "support/check.hpp"
 #include "support/prng.hpp"
 
@@ -9,31 +11,38 @@ namespace dcl {
 
 graph::graph(vertex n, const edge_list& edges) : n_(n) {
   DCL_EXPECTS(n >= 0, "vertex count must be non-negative");
-  std::vector<std::int32_t> deg(size_t(n), 0);
-  for (const auto& e : edges) {
+  offsets_.assign(size_t(n) + 1, 0);
+  bool increasing = true;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const edge& e = edges[i];
     DCL_EXPECTS(e.u >= 0 && e.v < n && e.u < e.v,
                 "edge endpoints must satisfy 0 <= u < v < n");
-    ++deg[size_t(e.u)];
-    ++deg[size_t(e.v)];
+    ++offsets_[size_t(e.u) + 1];
+    ++offsets_[size_t(e.v) + 1];
+    if (i > 0 && !(edges[i - 1] < e)) increasing = false;
   }
-  offsets_.assign(size_t(n) + 1, 0);
-  for (vertex v = 0; v < n; ++v)
-    offsets_[size_t(v) + 1] = offsets_[size_t(v)] + deg[size_t(v)];
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
   adj_.resize(size_t(offsets_[size_t(n)]));
   std::vector<std::int64_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (const auto& e : edges) {
     adj_[size_t(cursor[size_t(e.u)]++)] = e.v;
     adj_[size_t(cursor[size_t(e.v)]++)] = e.u;
   }
-  for (vertex v = 0; v < n; ++v) {
-    auto begin = adj_.begin() + offsets_[size_t(v)];
-    auto end = adj_.begin() + offsets_[size_t(v) + 1];
-    std::sort(begin, end);
-    DCL_EXPECTS(std::adjacent_find(begin, end) == end,
-                "duplicate edge in input");
-  }
   edges_ = edges;
-  std::sort(edges_.begin(), edges_.end());
+  // Strictly increasing input fills every row ascending (vertex x receives
+  // its smaller neighbors from the edges (u, x), u ascending, before its
+  // larger ones from (x, v), v ascending) and holds no duplicate, so only
+  // other input needs the row sorts, the duplicate check and the edge sort.
+  if (!increasing) {
+    for (vertex v = 0; v < n; ++v) {
+      auto begin = adj_.begin() + offsets_[size_t(v)];
+      auto end = adj_.begin() + offsets_[size_t(v) + 1];
+      std::sort(begin, end);
+      DCL_EXPECTS(std::adjacent_find(begin, end) == end,
+                  "duplicate edge in input");
+    }
+    std::sort(edges_.begin(), edges_.end());
+  }
   arcs_ = std::make_shared<arc_slot>();
 }
 
@@ -115,15 +124,20 @@ std::int64_t graph::arc_id(vertex u, vertex v) const {
 }
 
 graph graph::from_unsorted(vertex n, edge_list edges) {
-  edge_list canon;
-  canon.reserve(edges.size());
-  for (const auto& e : edges) {
-    if (e.u == e.v) continue;  // drop self-loops
-    canon.push_back(make_edge(e.u, e.v));
+  DCL_EXPECTS(n >= 0, "vertex count must be non-negative");
+  {
+    edge_key_buffers keys;
+    // Each endpoint of a non-loop edge is checked as it is packed: an id
+    // outside [0, n) would otherwise alias another edge's key.
+    canonicalize_edges_packed(
+        edges,
+        [n](vertex v) {
+          DCL_EXPECTS(v >= 0 && v < n, "edge endpoints must lie in [0, n)");
+          return v;
+        },
+        edge_id_bits(n), keys, edges);
   }
-  std::sort(canon.begin(), canon.end());
-  canon.erase(std::unique(canon.begin(), canon.end()), canon.end());
-  return graph(n, canon);
+  return graph(n, edges);
 }
 
 std::int64_t graph::volume(std::span<const vertex> vs) const {

@@ -94,10 +94,18 @@ class graph {
 
   /// Builds from an edge list over vertices [0, n). Self-loops and duplicate
   /// edges are rejected (DCL_EXPECTS) — the CONGEST model assumes a simple
-  /// graph and silent dedup would skew message accounting.
+  /// graph and silent dedup would skew message accounting. Strictly
+  /// increasing (canonical, lexicographic) input is detected in the one
+  /// validation pass and skips every sort: it already fills each adjacency
+  /// row ascending. Other input is sorted row by row and checked for
+  /// duplicates.
   graph(vertex n, const edge_list& edges);
 
-  /// Convenience: builds after canonicalizing/deduplicating the input.
+  /// Convenience: builds after canonicalizing/deduplicating the input
+  /// (self-loops dropped). Every endpoint of a non-loop edge must lie in
+  /// [0, n) (DCL_EXPECTS, checked before packing). Linear time: the edges
+  /// are packed into keys and radix-sorted (graph/edge_canon.hpp), and the
+  /// canonical list takes the constructor's sorted-input path.
   static graph from_unsorted(vertex n, edge_list edges);
 
   vertex num_vertices() const { return n_; }

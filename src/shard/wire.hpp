@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -32,6 +33,19 @@ inline constexpr char kWireMagic[8] = {'D', 'C', 'L', 'S',
                                        'H', 'A', 'R', 'D'};
 /// Bumped on any layout change; both directions reject a mismatch.
 inline constexpr std::uint32_t kWireVersion = 1;
+
+/// Appends n raw bytes to a byte buffer by resize + memcpy. The shard code
+/// appends through this one helper rather than vector::insert of a pointer
+/// range: on an empty vector, GCC 12 inlines that insert into a memmove it
+/// then flags as writing into a region of size 0 (a -Wstringop-overflow
+/// false positive), and CI builds with warnings as errors.
+inline void append_bytes(std::vector<std::uint8_t>& buf, const void* src,
+                         std::size_t n) {
+  if (n == 0) return;  // an empty span may carry a null pointer
+  const std::size_t at = buf.size();
+  buf.resize(at + n);
+  std::memcpy(buf.data() + at, src, n);
+}
 
 /// Refuses absurd frame lengths before allocating (a garbage stream must
 /// fail loudly, not OOM).

@@ -8,6 +8,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "runtime/scratch.hpp"
+#include "support/prng.hpp"
 
 namespace dcl {
 namespace {
@@ -238,6 +239,81 @@ TEST(EnumKernel, DifferentialRawEdgeLists) {
     EXPECT_TRUE(enumkernel::cliques_in_edge_set(raw, p, ws) == want)
         << "p=" << p;
   }
+  // Sparse ids take the binary-search remap: the rank table and its key
+  // buffers were never touched, so nothing was sized by the id universe.
+  EXPECT_EQ(ws.rank.capacity(), 0u);
+  EXPECT_EQ(ws.edge_keys.keys32.capacity(), 0u);
+  EXPECT_EQ(ws.edge_keys.keys64.capacity(), 0u);
+}
+
+// Runs the data-selected remap and the binary-search remap on fresh
+// scratches and requires identical canon, members and n_local. Returns
+// whether the selected path was the rank table.
+bool remap_paths_agree(const edge_list& edges) {
+  enumkernel::enum_scratch sel, ref;
+  const vertex n_sel = enumkernel::detail::remap_edges_dense(edges, sel);
+  const vertex n_ref = enumkernel::detail::remap_edges_by_search(edges, ref);
+  EXPECT_EQ(n_sel, n_ref);
+  EXPECT_EQ(sel.members, ref.members);
+  EXPECT_EQ(sel.canon, ref.canon);
+  return sel.rank.capacity() > 0;
+}
+
+TEST(EnumKernel, RemapDenseMatchesSortPath) {
+  // Empty and loop-only lists: both paths report no members.
+  remap_paths_agree({});
+  EXPECT_TRUE(remap_paths_agree({{0, 0}, {5, 5}, {9, 9}}));
+
+  // The rank table serves max id < 2·|edges| + 64 and nothing larger.
+  for (const std::int64_t m : {1, 2, 10, 300}) {
+    const vertex at = vertex(2 * m + enumkernel::detail::kRankTableSlack);
+    edge_list below, at_limit;
+    for (std::int64_t i = 0; i + 1 < m; ++i) {
+      below.push_back({vertex(i), vertex(i + 1)});
+      at_limit.push_back({vertex(i), vertex(i + 1)});
+    }
+    below.push_back({0, at - 1});
+    at_limit.push_back({0, at});
+    EXPECT_TRUE(remap_paths_agree(below)) << "m=" << m;
+    EXPECT_FALSE(remap_paths_agree(at_limit)) << "m=" << m;
+  }
+  // Negative ids always take the search path.
+  EXPECT_FALSE(remap_paths_agree({{-1, 2}, {2, 3}, {3, -1}}));
+
+  // Random lists: small universes with heavy duplicates and self-loops,
+  // universes at the 2·|edges| + 64 boundary, and sparse spread ids.
+  prng rng(0xed9e);
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t m = std::size_t(rng.next_below(400));
+    std::uint64_t universe = 0;
+    switch (trial % 3) {
+      case 0: universe = 1 + rng.next_below(50); break;
+      case 1: universe = 2 * m + 64 - rng.next_below(3); break;
+      default: universe = 1'000'000'000; break;
+    }
+    edge_list edges(m);
+    for (auto& e : edges) {
+      e.u = vertex(rng.next_below(universe));
+      e.v = rng.next_below(8) == 0 ? e.u : vertex(rng.next_below(universe));
+    }
+    for (std::size_t i = 0; i < m / 4; ++i)
+      edges.push_back(edges[std::size_t(rng.next_below(m))]);
+    remap_paths_agree(edges);
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "trial " << trial << " universe " << universe;
+      return;
+    }
+  }
+
+  // Both key widths of the rank path: more than 2^16 members packs 64-bit
+  // keys. A path graph over 70000 shuffled vertices, each edge twice.
+  edge_list wide;
+  for (vertex v = 0; v + 1 < 70000; ++v) {
+    wide.push_back({v + 1, v});
+    wide.push_back({v, v + 1});
+  }
+  rng.shuffle(wide);
+  EXPECT_TRUE(remap_paths_agree(wide));
 }
 
 TEST(EnumKernel, EdgeEntryArityTwoListsTheDedupedEdges) {

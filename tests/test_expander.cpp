@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "expander/anatomy.hpp"
@@ -7,6 +9,7 @@
 #include "expander/decomposition.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "graph/spectral.hpp"
 #include "support/check.hpp"
 
 namespace dcl {
@@ -108,6 +111,71 @@ TEST(Decomposition, Deterministic) {
     EXPECT_EQ(a.clusters[i].edges, b.clusters[i].edges);
   }
   EXPECT_EQ(a.remainder, b.remainder);
+}
+
+// FNV-1a over 64-bit words: a compact fingerprint of a decomposition.
+struct fingerprint {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+};
+
+struct pinned_decomposition {
+  std::size_t clusters, remainder;
+  std::uint64_t vertex_sets, spectra, remainder_edges, embedding;
+  std::uint64_t nu2_bits;
+  int iterations;
+};
+
+void expect_pinned(const graph& g, const pinned_decomposition& want) {
+  const auto d = decompose(g);
+  fingerprint sets, spectra, rem, emb;
+  for (const auto& c : d.clusters) {
+    sets.add(std::uint64_t(c.vertices.size()));
+    for (const vertex v : c.vertices) sets.add(std::uint64_t(v));
+    spectra.add(c.lambda2);
+    spectra.add(c.mixing_time);
+  }
+  for (const auto& e : d.remainder) {
+    rem.add(std::uint64_t(e.u));
+    rem.add(std::uint64_t(e.v));
+  }
+  const auto s = second_eigen(g);
+  for (const double x : s.embedding) emb.add(x);
+  EXPECT_EQ(d.clusters.size(), want.clusters);
+  EXPECT_EQ(d.remainder.size(), want.remainder);
+  EXPECT_EQ(sets.h, want.vertex_sets);
+  EXPECT_EQ(spectra.h, want.spectra);
+  EXPECT_EQ(rem.h, want.remainder_edges);
+  EXPECT_EQ(emb.h, want.embedding);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.nu2), want.nu2_bits);
+  EXPECT_EQ(s.iterations, want.iterations);
+}
+
+TEST(Decomposition, PinnedOnBenchmarkGraphs) {
+  // The benchmark's two CONGEST graphs, decomposed with the default options:
+  // cluster vertex sets, the bit patterns of every cluster's lambda2 and
+  // mixing time, the remainder and the whole-graph power iteration's
+  // embedding, as computed before second_eigen hoisted the D^{-1/2} scaling
+  // out of its arc loop. The hoist keeps every division and the summation
+  // order, so these must not move. The floating-point bits are those of
+  // x86-64 (SSE2, no FMA contraction) with glibc's libm.
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "bit patterns pinned for x86-64 only";
+#endif
+  expect_pinned(gen::ring_of_cliques(16, 20),
+                {16, 16, 0x43abd564093236fbull, 0x3ccb1dbf273fa2c3ull,
+                 0xd4b06e91d3b84b83ull, 0x23068c13c8f5b66dull,
+                 0x3feffb956eb2ce8cull, 2505});
+  expect_pinned(gen::planted_partition(5, 50, 0.6, 0.003, 23),
+                {5, 63, 0xdf4aeff1935ec470ull, 0x0d0903c1f1c0b3ccull,
+                 0x134bd7f9718da9f1ull, 0x790eb940d45fd003ull,
+                 0x3fef837d9fb79fc2ull, 2416});
 }
 
 TEST(Decomposition, ClustersAreConnected) {

@@ -8,6 +8,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "support/check.hpp"
+#include "support/prng.hpp"
 
 namespace dcl {
 namespace {
@@ -48,6 +49,88 @@ TEST(Graph, FromUnsortedCanonicalizes) {
   EXPECT_EQ(g.num_edges(), 2);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 2));
+}
+
+// The canonical graph of a raw edge list, built the slow obvious way:
+// std::sort + unique for the edges, per-vertex sorted neighbor lists.
+struct sort_oracle {
+  edge_list edges;
+  std::vector<std::vector<vertex>> rows;
+};
+
+sort_oracle oracle_of(vertex n, const edge_list& raw) {
+  sort_oracle o;
+  for (const auto& e : raw)
+    if (e.u != e.v) o.edges.push_back(make_edge(e.u, e.v));
+  std::sort(o.edges.begin(), o.edges.end());
+  o.edges.erase(std::unique(o.edges.begin(), o.edges.end()), o.edges.end());
+  o.rows.resize(size_t(n));
+  for (const auto& e : o.edges) {
+    o.rows[size_t(e.u)].push_back(e.v);
+    o.rows[size_t(e.v)].push_back(e.u);
+  }
+  for (auto& r : o.rows) std::sort(r.begin(), r.end());
+  return o;
+}
+
+void expect_matches(const graph& g, const sort_oracle& o) {
+  ASSERT_EQ(g.num_edges(), std::int64_t(o.edges.size()));
+  EXPECT_TRUE(std::equal(g.edges().begin(), g.edges().end(),
+                         o.edges.begin()));
+  for (vertex v = 0; v < g.num_vertices(); ++v) {
+    const auto nb = g.neighbors(v);
+    ASSERT_TRUE(std::equal(nb.begin(), nb.end(), o.rows[size_t(v)].begin(),
+                           o.rows[size_t(v)].end()))
+        << "row " << v;
+  }
+}
+
+TEST(Graph, FromUnsortedMatchesSortOracle) {
+  prng rng(0xf00d);
+  // Shuffled generator edges, each endpoint order flipped at random, plus
+  // duplicates and self-loops.
+  for (const graph& g : {gen::barabasi_albert(3000, 6, 2),
+                         gen::ring_of_cliques(8, 9), gen::gnp(200, 0.1, 4)}) {
+    edge_list raw(g.edges().begin(), g.edges().end());
+    for (std::size_t i = 0, m = raw.size(); i < m; ++i) {
+      if (rng.next_below(2)) std::swap(raw[i].u, raw[i].v);
+      if (rng.next_below(5) == 0) raw.push_back(raw[i]);
+      if (rng.next_below(9) == 0) raw.push_back({raw[i].u, raw[i].u});
+    }
+    rng.shuffle(raw);
+    const auto h = graph::from_unsorted(g.num_vertices(), raw);
+    expect_matches(h, oracle_of(g.num_vertices(), raw));
+    // The constructor's sorted-input path agrees with its unsorted path.
+    edge_list reversed(g.edges().rbegin(), g.edges().rend());
+    expect_matches(graph(g.num_vertices(), reversed),
+                   oracle_of(g.num_vertices(), raw));
+  }
+  // Random lists, including vertex counts on both sides of the 32-bit /
+  // 64-bit key switch (2^16 vertices).
+  for (const vertex n : {1, 2, 7, 100, 65536, 65537, 200000}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      edge_list raw(size_t(rng.next_below(3000)));
+      for (auto& e : raw) {
+        e.u = vertex(rng.next_below(std::uint64_t(n)));
+        e.v = trial == 0 ? n - 1 : vertex(rng.next_below(std::uint64_t(n)));
+      }
+      expect_matches(graph::from_unsorted(n, raw), oracle_of(n, raw));
+    }
+  }
+  EXPECT_EQ(graph::from_unsorted(0, {}).num_edges(), 0);
+}
+
+TEST(Graph, BuildRejectsBadIdsAndDuplicates) {
+  EXPECT_THROW(graph::from_unsorted(4, {{0, 1}, {-1, 2}}), precondition_error);
+  EXPECT_THROW(graph::from_unsorted(4, {{0, 1}, {2, 4}}), precondition_error);
+  EXPECT_THROW(graph::from_unsorted(4, {{4, 0}}), precondition_error);
+  // 2^16 vertices pack into 32-bit keys; id 65536 must not wrap to 0.
+  EXPECT_THROW(graph::from_unsorted(65536, {{0, 65536}}), precondition_error);
+  EXPECT_THROW(graph::from_unsorted(-1, {}), precondition_error);
+  EXPECT_THROW(graph(4, {{1, 2}, {0, 1}, {1, 2}}), precondition_error);
+  EXPECT_THROW(graph(4, {{0, 1}, {1, 2}, {1, 2}}), precondition_error);
+  EXPECT_THROW(graph(4, {{0, 1}, {1, 4}}), precondition_error);
+  EXPECT_THROW(graph(4, {{0, 1}, {-1, 2}}), precondition_error);
 }
 
 TEST(Graph, VolumeAndDegreeInto) {
